@@ -44,7 +44,8 @@ bench-json:
 	$(GO) run ./cmd/schedbench -validate BENCH_core.json
 
 # Short fuzz sessions on the canonicalization/verification trust
-# boundaries and the incremental session engine.  The native fuzzer
+# boundaries, the incremental session engine and the non-preemptive
+# eval layout.  The native fuzzer
 # allows one -fuzz target per invocation.
 FUZZTIME ?= 20s
 fuzz-smoke:
@@ -52,6 +53,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzVerifySchedule -fuzztime=$(FUZZTIME) .
 	$(GO) test -run='^$$' -fuzz=FuzzSessionDeltas -fuzztime=$(FUZZTIME) ./stream
 	$(GO) test -run='^$$' -fuzz=FuzzExactSandwich -fuzztime=$(FUZZTIME) ./internal/exact
+	$(GO) test -run='^$$' -fuzz=FuzzEvalNonpLayout -fuzztime=$(FUZZTIME) ./internal/core
 
 # A short differential soak: every schedgen family through all nine
 # algorithms with guarantee checking (see cmd/schedstress).

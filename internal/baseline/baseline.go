@@ -45,14 +45,13 @@ func McNaughton(jobs []int64, m int64) *sched.Schedule {
 			cursor = cursor.Add(take)
 			left = left.Sub(take)
 			if cursor.Cmp(T) >= 0 {
-				out.AddMachine(b.Slots())
-				b = sched.NewMachineBuilder()
+				out.AddMachine(b.EndMachine())
 				cursor = sched.Rat{}
 			}
 		}
 	}
 	if len(b.Slots()) > 0 {
-		out.AddMachine(b.Slots())
+		out.AddMachine(b.EndMachine())
 	}
 	return out
 }
@@ -105,8 +104,8 @@ func LPTBatches(in *sched.Instance) *sched.Schedule {
 		heap.Fix(h, 0)
 	}
 	out := &sched.Schedule{Variant: sched.NonPreemptive}
+	b := sched.NewMachineBuilder()
 	for u := int64(0); u < m; u++ {
-		b := sched.NewMachineBuilder()
 		for _, i := range assign[u] {
 			cls := &in.Classes[i]
 			if cls.Setup > 0 {
@@ -116,7 +115,7 @@ func LPTBatches(in *sched.Instance) *sched.Schedule {
 				b.Place(sched.SlotJob, i, j, sched.R(t))
 			}
 		}
-		out.AddMachine(b.Slots())
+		out.AddMachine(b.EndMachine())
 	}
 	out.T = out.Makespan()
 	return out
@@ -133,8 +132,7 @@ func NextFitBatches(in *sched.Instance) *sched.Schedule {
 	b := sched.NewMachineBuilder()
 	flush := func() {
 		if len(b.Slots()) > 0 {
-			out.AddMachine(b.Slots())
-			b = sched.NewMachineBuilder()
+			out.AddMachine(b.EndMachine())
 		}
 	}
 	for i := range in.Classes {

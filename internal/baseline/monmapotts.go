@@ -118,8 +118,8 @@ func MonmaPottsSplit(in *sched.Instance) *sched.Schedule {
 
 	// Emit.
 	out := &sched.Schedule{Variant: sched.NonPreemptive}
+	b := sched.NewMachineBuilder()
 	for u := 0; u < m; u++ {
-		b := sched.NewMachineBuilder()
 		for _, bp := range parts[u] {
 			if len(bp.jobs) == 0 {
 				continue
@@ -132,7 +132,7 @@ func MonmaPottsSplit(in *sched.Instance) *sched.Schedule {
 				b.Place(sched.SlotJob, bp.class, j, sched.R(cls.Jobs[j]))
 			}
 		}
-		out.AddMachine(b.Slots())
+		out.AddMachine(b.EndMachine())
 	}
 	out.T = out.Makespan()
 	return out

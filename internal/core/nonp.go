@@ -802,18 +802,15 @@ func (p *Prep) BuildNonpScratch(ev *NonpEval, sc *NonpScratch) (*sched.Schedule,
 	// Emit.  Schedule construction is allocation-bound and runs on every
 	// solve — warm session re-solves included, where it dominates once
 	// the search itself is down to a few probes — so all machines' slots
-	// share one arena sized up front (AddMachine aliases, never copies)
-	// and the per-machine scratch is reused.  All times are integral
-	// here, so the running top stays in int64.  The arena is the one
-	// allocation that escapes into the result; it must never come from
-	// the reusable scratch.
-	out := &sched.Schedule{Variant: sched.NonPreemptive, T: sched.R(T)}
+	// share one arena sized up front from the item count (which bounds
+	// the live items) and the per-machine scratch is reused.  All times
+	// are integral here, so the running top stays in int64.
 	total := 0
 	for mi := range b.machines {
 		total += len(b.machines[mi].items)
 	}
-	arena := make([]sched.Slot, 0, total)
-	out.Runs = make([]sched.MachineRun, 0, len(b.machines))
+	mb := sched.NewArenaBuilder(total)
+	out := &sched.Schedule{Variant: sched.NonPreemptive, T: sched.R(T), Runs: make([]sched.MachineRun, 0, len(b.machines))}
 	for mi := range b.machines {
 		m := &b.machines[mi]
 		b.live = b.live[:0]
@@ -822,10 +819,8 @@ func (p *Prep) BuildNonpScratch(ev *NonpEval, sc *NonpScratch) (*sched.Schedule,
 				b.live = append(b.live, it)
 			}
 		}
-		live := dropUselessNonpSetups(b.live)
-		start := len(arena)
 		var top int64
-		for _, it := range live {
+		for _, it := range dropUselessNonpSetups(b.live) {
 			if it.length <= 0 {
 				if it.length < 0 {
 					return nil, errInternal("negative slot length %d", it.length)
@@ -836,13 +831,10 @@ func (p *Prep) BuildNonpScratch(ev *NonpEval, sc *NonpScratch) (*sched.Schedule,
 			if it.isSetup {
 				kind, job = sched.SlotSetup, -1
 			}
-			arena = append(arena, sched.Slot{
-				Kind: kind, Class: it.class, Job: job,
-				Start: sched.R(top), End: sched.R(top + it.length),
-			})
+			mb.PlaceAt(kind, it.class, job, sched.R(top), sched.R(it.length))
 			top += it.length
 		}
-		out.AddMachine(arena[start:len(arena):len(arena)])
+		out.AddMachine(mb.EndMachine())
 	}
 	return out, nil
 }

@@ -49,20 +49,7 @@ func (p *Prep) BuildPmtn(ev *PmtnEval) (*sched.Schedule, error) {
 	uRat := func(u int64) sched.Rat { return sched.RatOf(u, uDen) }
 	halfT := T.Half()
 	quarterT := T.Quarter()
-	out := &sched.Schedule{Variant: sched.Preemptive, T: T}
-
-	// Step 1: large machines, one I0exp class each, starting at T/2.
-	largeRuns := make([]int, 0, len(ev.ExpZero))
-	for _, i := range ev.ExpZero {
-		cls := &p.In.Classes[i] // expensive, so cls.Setup > T/2 > 0
-		b := sched.NewMachineBuilder()
-		b.PlaceAt(sched.SlotSetup, i, -1, halfT, sched.R(cls.Setup))
-		for j, t := range cls.Jobs {
-			b.Place(sched.SlotJob, i, j, sched.R(t))
-		}
-		largeRuns = append(largeRuns, out.AddMachine(b.Slots()))
-	}
-	l := int64(len(largeRuns))
+	l := len(ev.ExpZero) // large machines, one I0exp class each
 
 	// Step 2: distribute the I-chp load between the nice instance and K.
 	var niceCheap []cheapBatch
@@ -145,18 +132,40 @@ func (p *Prep) BuildPmtn(ev *PmtnEval) (*sched.Schedule, error) {
 		}
 	}
 
-	// Step 3: the nice instance on the residual m-l machines.
-	niceRuns, err := p.buildNice(T, p.M-l, ev.ExpPlus, ev.Gamma, ev.ExpMinus, niceCheap)
+	// Step 4 and the nice instance's cheap wrap (its step 3) come first:
+	// they fix what joins the large machines and machine mu before those
+	// are emitted, so every machine is emitted once, in one arena.
+	bottoms, err := p.placeK(l, kPieces, splitClass, halfT, quarterT)
 	if err != nil {
 		return nil, err
 	}
-	out.Runs = append(out.Runs, niceRuns...)
+	nice := &niceInstance{T: T, expPlus: ev.ExpPlus, gamma: ev.Gamma, expMinus: ev.ExpMinus}
+	if err := p.wrapNiceCheap(nice, p.M-int64(l), niceCheap); err != nil {
+		return nil, err
+	}
 
-	// Step 4: place K at the bottoms of the large machines.
-	if len(kPieces) > 0 {
-		if err := p.placeK(out, largeRuns, kPieces, splitClass, halfT, quarterT); err != nil {
-			return nil, err
+	slots, runs := p.niceSize(nice)
+	for k, i := range ev.ExpZero {
+		slots += 1 + len(p.In.Classes[i].Jobs) + len(bottoms[k])
+	}
+	b := sched.NewArenaBuilder(slots)
+	out := &sched.Schedule{Variant: sched.Preemptive, T: T, Runs: make([]sched.MachineRun, 0, l+runs)}
+
+	// Step 1: large machines, one I0exp class each, starting at T/2 above
+	// their K bottoms.
+	for k, i := range ev.ExpZero {
+		cls := &p.In.Classes[i] // expensive, so cls.Setup > T/2 > 0
+		b.PlaceSlots(bottoms[k]...)
+		b.PlaceAt(sched.SlotSetup, i, -1, halfT, sched.R(cls.Setup))
+		for j, t := range cls.Jobs {
+			b.Place(sched.SlotJob, i, j, sched.R(t))
 		}
+		out.AddMachine(b.EndMachine())
+	}
+
+	// Step 3: the nice instance on the residual m-l machines.
+	if err := p.buildNice(out, b, nice); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -231,12 +240,17 @@ func splitStarClass(p *Prep, ev *PmtnEval, class int) (cheapBatch, []kItem, erro
 	return cheapBatch{class: class, pieces: nice}, ks, nil
 }
 
-// placeK places the K pieces at the bottoms [0, T/2) of the large
-// machines: pieces longer than T/4 (K+) each get a dedicated bottom with
-// their own setup; the rest (K-) is wrapped into a first full gap
-// [0, T/2) and gaps [T/4, T/2) on the remaining large machines, ordered by
-// class with the split class first.
-func (p *Prep) placeK(out *sched.Schedule, largeRuns []int, kPieces []kItem, splitClass int, halfT, quarterT sched.Rat) error {
+// placeK lays out the K pieces for the bottoms [0, T/2) of the l large
+// machines and returns each large machine's bottom slots (empty for none):
+// pieces longer than T/4 (K+) each get a dedicated bottom with their own
+// setup; the rest (K-) is wrapped into a first full gap [0, T/2) and gaps
+// [T/4, T/2) on the remaining large machines, ordered by class with the
+// split class first.
+func (p *Prep) placeK(l int, kPieces []kItem, splitClass int, halfT, quarterT sched.Rat) ([][]sched.Slot, error) {
+	bottoms := make([][]sched.Slot, l)
+	if len(kPieces) == 0 {
+		return bottoms, nil
+	}
 	var kPlus, kMinus []kItem
 	for _, it := range kPieces {
 		if it.length.Cmp(quarterT) > 0 {
@@ -245,28 +259,27 @@ func (p *Prep) placeK(out *sched.Schedule, largeRuns []int, kPieces []kItem, spl
 			kMinus = append(kMinus, it)
 		}
 	}
-	if len(kPlus) > len(largeRuns) {
-		return errInternal("K+ needs %d large machines, have %d", len(kPlus), len(largeRuns))
+	if len(kPlus) > l {
+		return nil, errInternal("K+ needs %d large machines, have %d", len(kPlus), l)
 	}
+	b := sched.NewArenaBuilder(2 * len(kPlus))
 	for k, it := range kPlus {
 		s := p.In.Classes[it.class].Setup
 		if sched.R(s).Add(it.length).Cmp(halfT) > 0 {
-			return errInternal("K+ piece of class %d exceeds T/2", it.class)
+			return nil, errInternal("K+ piece of class %d exceeds T/2", it.class)
 		}
-		b := sched.NewMachineBuilder()
 		if s > 0 {
 			b.Place(sched.SlotSetup, it.class, -1, sched.R(s))
 		}
 		b.Place(sched.SlotJob, it.class, it.job, it.length)
-		run := &out.Runs[largeRuns[k]]
-		run.Slots = append(b.Slots(), run.Slots...)
+		bottoms[k] = b.EndMachine()
 	}
 	if len(kMinus) == 0 {
-		return nil
+		return bottoms, nil
 	}
 	lPrime := len(kPlus)
-	if lPrime >= len(largeRuns) {
-		return errInternal("no large machines left for K- wrap")
+	if lPrime >= l {
+		return nil, errInternal("no large machines left for K- wrap")
 	}
 	// Group by class, split class first, then ascending class index.
 	sort.SliceStable(kMinus, func(a, b int) bool {
@@ -276,7 +289,13 @@ func (p *Prep) placeK(out *sched.Schedule, largeRuns []int, kPieces []kItem, spl
 		}
 		return ca < cb
 	})
-	var q wrap.Sequence
+	items := len(kMinus)
+	for k := range kMinus {
+		if k == 0 || kMinus[k].class != kMinus[k-1].class {
+			items++ // the class's setup
+		}
+	}
+	q := wrap.NewSequence(items)
 	last := -1
 	for _, it := range kMinus {
 		if it.class != last {
@@ -285,48 +304,132 @@ func (p *Prep) placeK(out *sched.Schedule, largeRuns []int, kPieces []kItem, spl
 		}
 		q.AddJob(it.class, it.job, it.length)
 	}
-	gaps := make([]wrap.Gap, 0, len(largeRuns)-lPrime)
-	gaps = append(gaps, wrap.Gap{Machine: int64(lPrime), A: sched.Rat{}, B: halfT})
-	for g := lPrime + 1; g < len(largeRuns); g++ {
-		gaps = append(gaps, wrap.Gap{Machine: int64(g), A: quarterT, B: halfT})
+	gaps := make([]wrap.Gap, 0, l-lPrime)
+	gaps = append(gaps, wrap.Gap{A: sched.Rat{}, B: halfT})
+	for g := lPrime + 1; g < l; g++ {
+		gaps = append(gaps, wrap.Gap{A: quarterT, B: halfT})
 	}
-	placed, err := wrap.Wrap(gaps, wrap.TailRun{}, &q, p.setups())
+	placed, err := wrap.Wrap(gaps, wrap.TailRun{}, q, p.setups())
 	if err != nil {
-		return errInternal("K- wrap failed: %v", err)
+		return nil, errInternal("K- wrap failed: %v", err)
 	}
-	for g, slots := range placed.Machines {
-		if len(slots) == 0 {
+	copy(bottoms[lPrime:], placed.Machines)
+	return bottoms, nil
+}
+
+// niceInstance is the nice instance of BuildPmtn's step 3 (empty I0exp):
+// its I+exp classes with their machine counts gamma, its I-exp classes,
+// and the placement of its cheap load.
+type niceInstance struct {
+	T        sched.Rat
+	expPlus  []int
+	gamma    []int64
+	expMinus []int
+	cheap    *wrap.Placement // nil when there is no cheap load
+}
+
+// mu reports whether the nice instance has machine mu, the odd last I-exp
+// class alone, whose gap [T, 3/2T) leads the cheap wrap's template.
+func (n *niceInstance) mu() bool { return len(n.expMinus)%2 == 1 }
+
+// wrapNiceCheap wraps the nice instance's cheap load (Algorithm 2 step 3)
+// into the gap [T, 3/2T) of machine mu and gaps [T/2, 3/2T) on the
+// machines of the budget that steps 1 and 2 leave unused.
+func (p *Prep) wrapNiceCheap(n *niceInstance, budget int64, cheap []cheapBatch) error {
+	items := 0
+	for _, batch := range cheap {
+		if len(batch.pieces) > 0 {
+			items += 1 + len(batch.pieces)
+		}
+	}
+	q := wrap.NewSequence(items)
+	for _, batch := range cheap {
+		if len(batch.pieces) == 0 {
 			continue
 		}
-		run := &out.Runs[largeRuns[lPrime+g]]
-		run.Slots = append(append([]sched.Slot(nil), slots...), run.Slots...)
+		q.AddSetup(batch.class, p.In.Classes[batch.class].Setup)
+		for _, pc := range batch.pieces {
+			q.AddJob(batch.class, pc.job, pc.length)
+		}
 	}
+	if q.Len() == 0 {
+		return nil
+	}
+	T := n.T
+	top := T.MulInt(3).DivInt(2)
+	used := int64((len(n.expMinus) + 1) / 2)
+	for _, g := range n.gamma {
+		used += g
+	}
+	var gaps []wrap.Gap
+	if n.mu() {
+		gaps = []wrap.Gap{{A: T, B: top}}
+	}
+	tail := wrap.TailRun{Count: budget - used, A: T.Half(), B: top}
+	if tail.Count < 0 {
+		return errInternal("nice instance machine budget exceeded (%d used of %d)", used, budget)
+	}
+	placed, err := wrap.Wrap(gaps, tail, q, p.setups())
+	if err != nil {
+		return errInternal("nice cheap wrap failed: %v", err)
+	}
+	n.cheap = placed
 	return nil
 }
 
-// buildNice schedules a nice instance (empty I0exp) on `budget` fresh
-// machines (Theorem 4(ii), Algorithm 2 with the Section 4.4 step 1):
+// niceSize bounds the slots and counts the machine runs that buildNice
+// emits through the caller's arena: step 1 fills gamma_i machines per
+// I+exp class, and each machine boundary splits at most one job; step 2
+// places whole classes, plus the cheap slots wrapped onto mu.  The cheap
+// wrap's tail runs bring their own arena.
+func (p *Prep) niceSize(n *niceInstance) (slots, runs int) {
+	for k, i := range n.expPlus {
+		cls := &p.In.Classes[i]
+		g := int(n.gamma[k])
+		if cls.Setup > 0 {
+			slots += g
+		}
+		slots += len(cls.Jobs) + g - 1
+		runs += g
+	}
+	for _, i := range n.expMinus {
+		cls := &p.In.Classes[i]
+		if cls.Setup > 0 {
+			slots++
+		}
+		slots += len(cls.Jobs)
+	}
+	runs += (len(n.expMinus) + 1) / 2
+	if n.cheap != nil {
+		if n.mu() {
+			slots += len(n.cheap.Machines[0])
+		}
+		runs += len(n.cheap.Tail)
+	}
+	return slots, runs
+}
+
+// buildNice schedules the nice instance on fresh machines, appended to
+// out's runs with steps 1 and 2 emitted through b (Theorem 4(ii),
+// Algorithm 2 with the Section 4.4 step 1):
 //
 //	step 1: each I+exp class i fills gamma_i machines, the first
 //	        gamma_i - 1 to exactly s_i + T/2 (> T) and the last to at
 //	        most 3/2 T;
 //	step 2: I-exp classes are paired two per machine (load in (T, 3/2T]);
 //	        an odd last class sits alone on machine mu;
-//	step 3: the cheap load is wrapped into the gap [T, 3/2T) of mu and
-//	        gaps [T/2, 3/2T) on the remaining machines.
-func (p *Prep) buildNice(T sched.Rat, budget int64, expPlus []int, gamma []int64, expMinus []int, cheap []cheapBatch) ([]sched.MachineRun, error) {
-	halfT := T.Half()
-	top := T.MulInt(3).DivInt(2)
-	var runs []sched.MachineRun
-	used := int64(0)
+//	step 3: the cheap load, wrapped by wrapNiceCheap, joins mu above T
+//	        and fills the remaining machines.
+func (p *Prep) buildNice(out *sched.Schedule, b *sched.MachineBuilder, n *niceInstance) error {
+	halfT := n.T.Half()
+	top := n.T.MulInt(3).DivInt(2)
 
 	// Step 1.
-	for k, i := range expPlus {
+	for k, i := range n.expPlus {
 		cls := &p.In.Classes[i]
-		g := gamma[k]
+		g := n.gamma[k]
 		jobIdx, jobLeft := 0, sched.R(cls.Jobs[0])
 		for u := int64(0); u < g; u++ {
-			b := sched.NewMachineBuilder()
 			if cls.Setup > 0 {
 				b.Place(sched.SlotSetup, i, -1, sched.R(cls.Setup))
 			}
@@ -347,21 +450,18 @@ func (p *Prep) buildNice(T sched.Rat, budget int64, expPlus []int, gamma []int64
 				}
 			}
 			if b.Top().Cmp(top) > 0 {
-				return nil, errInternal("nice step 1 machine exceeds 3/2T (class %d)", i)
+				return errInternal("nice step 1 machine exceeds 3/2T (class %d)", i)
 			}
-			runs = append(runs, sched.MachineRun{Count: 1, Slots: b.Slots()})
-			used++
+			out.AddMachine(b.EndMachine())
 		}
 		if jobIdx < len(cls.Jobs) {
-			return nil, errInternal("nice step 1 left work of class %d", i)
+			return errInternal("nice step 1 left work of class %d", i)
 		}
 	}
 
 	// Step 2.
-	muIdx := -1
-	for k := 0; k < len(expMinus); k += 2 {
-		b := sched.NewMachineBuilder()
-		for _, i := range []int{expMinus[k], pairOrNeg(expMinus, k+1)} {
+	for k := 0; k < len(n.expMinus); k += 2 {
+		for _, i := range []int{n.expMinus[k], pairOrNeg(n.expMinus, k+1)} {
 			if i < 0 {
 				continue
 			}
@@ -373,45 +473,17 @@ func (p *Prep) buildNice(T sched.Rat, budget int64, expPlus []int, gamma []int64
 				b.Place(sched.SlotJob, i, j, sched.R(t))
 			}
 		}
-		if k+1 >= len(expMinus) {
-			muIdx = len(runs)
+		if k+1 >= len(n.expMinus) && n.cheap != nil {
+			b.PlaceSlots(n.cheap.Machines[0]...) // mu
 		}
-		runs = append(runs, sched.MachineRun{Count: 1, Slots: b.Slots()})
-		used++
+		out.AddMachine(b.EndMachine())
 	}
 
-	// Step 3.
-	var q wrap.Sequence
-	for _, batch := range cheap {
-		if len(batch.pieces) == 0 {
-			continue
-		}
-		q.AddSetup(batch.class, p.In.Classes[batch.class].Setup)
-		for _, pc := range batch.pieces {
-			q.AddJob(batch.class, pc.job, pc.length)
-		}
+	// Step 3's remaining machines.
+	if n.cheap != nil {
+		out.Runs = append(out.Runs, n.cheap.Tail...)
 	}
-	if q.Len() > 0 {
-		var gaps []wrap.Gap
-		if muIdx >= 0 {
-			gaps = append(gaps, wrap.Gap{Machine: int64(muIdx), A: T, B: top})
-		}
-		tail := wrap.TailRun{Count: budget - used, A: halfT, B: top}
-		if tail.Count < 0 {
-			return nil, errInternal("nice instance machine budget exceeded (%d used of %d)", used, budget)
-		}
-		placed, err := wrap.Wrap(gaps, tail, &q, p.setups())
-		if err != nil {
-			return nil, errInternal("nice cheap wrap failed: %v", err)
-		}
-		if muIdx >= 0 && len(placed.Machines) > 0 {
-			runs[muIdx].Slots = append(runs[muIdx].Slots, placed.Machines[0]...)
-		}
-		for _, r := range placed.Tail {
-			runs = append(runs, r)
-		}
-	}
-	return runs, nil
+	return nil
 }
 
 func pairOrNeg(xs []int, k int) int {

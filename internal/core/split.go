@@ -109,11 +109,67 @@ func (p *Prep) BuildSplit(ev *SplitEval) (*sched.Schedule, error) {
 	T := ev.T
 	halfT := T.Half()
 	top := T.MulInt(3).DivInt(2)
-	out := &sched.Schedule{Variant: sched.Splittable, T: T}
 
-	// Step 1: expensive classes.
-	var cheapGaps []wrap.Gap
-	gapOwner := []int{} // schedule run index per cheap gap
+	// The last step-1 machine of class i holds the setup plus the
+	// remainder r_i = P_i - (beta_i - 1) T/2 in (0, T/2]; when that load
+	// L stays below T, its residual gap [L + T/2, 3/2T) (above a reserved
+	// T/2 window for one cheap setup) joins step 2's template.  Knowing
+	// the gaps before step 1 lets step 2 run first, so each gap's slots
+	// are emitted straight after its machine's step-1 slots.
+	lastLoad := func(k int) sched.Rat {
+		i := ev.Exp[k]
+		return sched.R(p.P[i]).Sub(halfT.MulInt(ev.Beta[k] - 1)).AddInt(p.In.Classes[i].Setup)
+	}
+	var placed *wrap.Placement
+	var tailRuns []sched.MachineRun
+	if len(ev.Chp) > 0 {
+		cheapGaps := make([]wrap.Gap, 0, len(ev.Exp))
+		for k := range ev.Exp {
+			if load := lastLoad(k); load.Cmp(T) < 0 {
+				cheapGaps = append(cheapGaps, wrap.Gap{A: load.Add(halfT), B: top})
+			}
+		}
+		items := 0
+		for _, i := range ev.Chp {
+			items += 1 + len(p.In.Classes[i].Jobs)
+		}
+		q := wrap.NewSequence(items)
+		for _, i := range ev.Chp {
+			q.AddBatch(i, p.In.Classes[i].Setup, p.In.Classes[i].Jobs)
+		}
+		tail := wrap.TailRun{Count: p.M - ev.MExp, A: halfT, B: top}
+		var err error
+		if placed, err = wrap.Wrap(cheapGaps, tail, q, p.setups()); err != nil {
+			return nil, errInternal("splittable cheap wrap failed: %v", err)
+		}
+		tailRuns = placed.Tail
+	}
+
+	// Step 1 emits rows (single machines or compressed runs) of one
+	// setup plus job pieces.  Each row boundary splits at most one job, so
+	// a class in r rows emits at most 2r + n_i - 1 slots.  A class needs
+	// at most beta_i rows, and at most 3 n_i + 3: per job at most one
+	// compressed run, one row taking a T/2 piece of it and one row
+	// finishing it, plus two rows capped by the machine budget and the
+	// last row.
+	slots, rows := 0, len(tailRuns)
+	for k, i := range ev.Exp {
+		n := len(p.In.Classes[i].Jobs)
+		r := int(min(ev.Beta[k], int64(3*n+3)))
+		slots += 2*r + n - 1
+		rows += r
+	}
+	if placed != nil {
+		for _, m := range placed.Machines {
+			slots += len(m)
+		}
+	}
+	b := sched.NewArenaBuilder(slots)
+	out := &sched.Schedule{Variant: sched.Splittable, T: T, Runs: make([]sched.MachineRun, 0, rows)}
+
+	// Step 1: expensive classes, each last machine with a gap followed by
+	// the cheap slots step 2 wrapped into it.
+	gap := 0
 	for k, i := range ev.Exp {
 		cls := &p.In.Classes[i]
 		beta := ev.Beta[k]
@@ -129,10 +185,9 @@ func (p *Prep) BuildSplit(ev *SplitEval) (*sched.Schedule, error) {
 					full = beta - 1 - u
 				}
 				if full >= 2 {
-					b := sched.NewMachineBuilder()
 					b.Place(sched.SlotSetup, i, -1, setup)
 					b.Place(sched.SlotJob, i, jobIdx, halfT)
-					out.AddRun(full, b.Slots())
+					out.AddRun(full, b.EndMachine())
 					jobLeft = jobLeft.Sub(halfT.MulInt(full))
 					if jobLeft.IsZero() && jobIdx+1 < len(cls.Jobs) {
 						jobIdx++
@@ -142,7 +197,6 @@ func (p *Prep) BuildSplit(ev *SplitEval) (*sched.Schedule, error) {
 					continue
 				}
 			}
-			b := sched.NewMachineBuilder()
 			b.Place(sched.SlotSetup, i, -1, setup)
 			cap := halfT
 			if u == beta-1 {
@@ -161,38 +215,18 @@ func (p *Prep) BuildSplit(ev *SplitEval) (*sched.Schedule, error) {
 					}
 				}
 			}
-			ri := out.AddMachine(b.Slots())
-			if u == beta-1 && b.Top().Cmp(T) < 0 {
-				// Reserve [L, L+T/2) for one cheap setup, fill above.
-				cheapGaps = append(cheapGaps, wrap.Gap{
-					Machine: int64(ri), A: b.Top().Add(halfT), B: top,
-				})
-				gapOwner = append(gapOwner, ri)
+			if u == beta-1 && placed != nil && b.Top().Cmp(T) < 0 {
+				b.PlaceSlots(placed.Machines[gap]...)
+				gap++
 			}
+			out.AddMachine(b.EndMachine())
 		}
 		if jobLeft.Sign() > 0 || jobIdx < len(cls.Jobs)-1 {
 			return nil, errInternal("splittable step 1 left work of class %d unplaced", i)
 		}
 	}
 
-	// Step 2: cheap classes into the gaps plus unused machines.
-	if len(ev.Chp) > 0 {
-		var q wrap.Sequence
-		for _, i := range ev.Chp {
-			q.AddBatch(i, p.In.Classes[i].Setup, p.In.Classes[i].Jobs)
-		}
-		tail := wrap.TailRun{Count: p.M - ev.MExp, A: halfT, B: top}
-		placed, err := wrap.Wrap(cheapGaps, tail, &q, p.setups())
-		if err != nil {
-			return nil, errInternal("splittable cheap wrap failed: %v", err)
-		}
-		for g, slots := range placed.Machines {
-			ri := gapOwner[g]
-			out.Runs[ri].Slots = append(out.Runs[ri].Slots, slots...)
-		}
-		for _, r := range placed.Tail {
-			out.AddRun(r.Count, r.Slots)
-		}
-	}
+	// Step 2's tail: the unused machines.
+	out.Runs = append(out.Runs, tailRuns...)
 	return out, nil
 }

@@ -1170,8 +1170,8 @@ func (st *bbState) dfs(ctx context.Context, j int) (bool, error) {
 // slot followed by its jobs, packed from time zero.
 func (st *bbState) buildSchedule(assign []int32, opt int64) *sched.Schedule {
 	out := &sched.Schedule{Variant: sched.NonPreemptive, T: sched.R(opt)}
+	b := sched.NewMachineBuilder()
 	for u := 0; u < st.m; u++ {
-		b := sched.NewMachineBuilder()
 		lastCls := int32(-1)
 		for j := range st.jobs {
 			if assign[j] != int32(u) {
@@ -1186,7 +1186,7 @@ func (st *bbState) buildSchedule(assign []int32, opt int64) *sched.Schedule {
 			b.Place(sched.SlotJob, int(cl.orig), int(jb.origJob), sched.R(jb.t))
 		}
 		if len(b.Slots()) > 0 {
-			out.AddMachine(b.Slots())
+			out.AddMachine(b.EndMachine())
 		}
 	}
 	return out

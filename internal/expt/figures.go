@@ -146,10 +146,10 @@ func Figures() ([]Figure, error) {
 	q.AddBatch(0, 1, wrapIn.Classes[0].Jobs)
 	q.AddBatch(1, 2, wrapIn.Classes[1].Jobs)
 	gaps := []wrap.Gap{
-		{Machine: 0, A: sched.R(2), B: sched.R(9)},
-		{Machine: 1, A: sched.R(3), B: sched.R(8)},
-		{Machine: 2, A: sched.R(2), B: sched.R(7)},
-		{Machine: 3, A: sched.R(4), B: sched.R(9)},
+		{A: sched.R(2), B: sched.R(9)},
+		{A: sched.R(3), B: sched.R(8)},
+		{A: sched.R(2), B: sched.R(7)},
+		{A: sched.R(4), B: sched.R(9)},
 	}
 	placed, err := wrap.Wrap(gaps, wrap.TailRun{}, &q, []int64{1, 2})
 	if err != nil {

@@ -25,8 +25,7 @@ import (
 
 // Gap is one free interval [A, B) on a specific machine.
 type Gap struct {
-	Machine int64 // informational machine index
-	A, B    sched.Rat
+	A, B sched.Rat
 }
 
 // Span returns B - A.
@@ -49,8 +48,15 @@ type Item struct {
 
 // Sequence builds a wrap sequence [s_i, C_i]... batch by batch.
 type Sequence struct {
-	Items []Item
-	total sched.Rat
+	Items  []Item
+	total  sched.Rat
+	setups int // setup items in Items
+}
+
+// NewSequence returns an empty sequence with room for items items; the
+// builders know their item counts exactly, so Items never grows.
+func NewSequence(items int) *Sequence {
+	return &Sequence{Items: make([]Item, 0, items)}
 }
 
 // AddSetup appends a setup item for the class (skipped when s == 0).
@@ -60,6 +66,7 @@ func (q *Sequence) AddSetup(class int, s int64) {
 	}
 	q.Items = append(q.Items, Item{Kind: sched.SlotSetup, Class: class, Job: -1, Len: sched.R(s)})
 	q.total = q.total.AddInt(s)
+	q.setups++
 }
 
 // AddJob appends a job piece of the given rational length (skipped when
@@ -89,14 +96,21 @@ func (q *Sequence) Load() sched.Rat { return q.total }
 // Len returns the number of items.
 func (q *Sequence) Len() int { return len(q.Items) }
 
-// Placement is the result of wrapping a sequence into a template.
+// Placement is the result of wrapping a sequence into a template.  Its
+// slot lists are capacity-capped windows of two arenas (see
+// sched.MachineBuilder), each sized before its first slot lands: one for
+// the explicit gaps, whose slots every caller copies onto machines that
+// already hold slots, and one for the tail, whose runs become machines of
+// the schedule as they are.
 type Placement struct {
 	// Machines[g] holds the slots placed on the machine of explicit gap g
 	// (possibly including one setup below the gap start), in time order.
 	// Entries may be empty when the sequence ended early.
 	Machines [][]sched.Slot
 	// Tail holds machine runs placed on tail-run machines, in machine
-	// order.  The sum of their counts is at most the tail count.
+	// order.  The sum of their counts is at most the tail count.  Their
+	// arena is sized when the wrap first reaches the tail, from the items
+	// still to place.
 	Tail []sched.MachineRun
 	// TailUsed is the number of tail machines that received load.
 	TailUsed int64
@@ -110,17 +124,24 @@ var (
 	ErrSetupBelowGap = errors.New("wrap: no room for setup below gap")
 )
 
-// wrapState tracks the cursor during wrapping.
+// wrapState tracks the cursor during wrapping.  The open gap's slots
+// accumulate as b's open machine; b is the explicit gaps' arena until
+// the wrap reaches the tail, and the tail's arena from then on.
 type wrapState struct {
 	gaps   []Gap
 	tail   TailRun
+	q      *Sequence
 	place  *Placement
-	gapIdx int // next explicit gap to open; len(gaps)+k for tail machine k
-	cur    []sched.Slot
+	b      *sched.MachineBuilder
+	inTail bool // b is the tail's arena
+	gapIdx int  // next explicit gap to open; len(gaps)+k for tail machine k
 	curGap Gap
 	open   bool
 	t      sched.Rat // cursor within the open gap
 	setups []int64   // per-class setup times
+
+	item       int // index of the item being placed
+	setupsDone int // setup items placed before it
 }
 
 // Wrap places the sequence q into the template formed by the explicit gaps
@@ -138,6 +159,7 @@ func Wrap(gaps []Gap, tail TailRun, q *Sequence, setups []int64) (*Placement, er
 		}
 		span = span.Add(g.Span())
 	}
+	explicitSpan := span
 	if tail.Count > 0 {
 		if tail.A.Sign() < 0 || tail.B.Cmp(tail.A) <= 0 {
 			return nil, fmt.Errorf("wrap: malformed tail gap [%s,%s)", tail.A, tail.B)
@@ -151,16 +173,36 @@ func Wrap(gaps []Gap, tail TailRun, q *Sequence, setups []int64) (*Placement, er
 	st := &wrapState{
 		gaps:   gaps,
 		tail:   tail,
+		q:      q,
 		place:  &Placement{Machines: make([][]sched.Slot, len(gaps))},
 		setups: setups,
 	}
+	if len(gaps) > 0 {
+		st.b = sched.NewArenaBuilder(explicitSlots(gaps, explicitSpan, q))
+	}
 	for i := range q.Items {
+		st.item = i
 		if err := st.placeItem(&q.Items[i]); err != nil {
 			return nil, err
+		}
+		if q.Items[i].Kind == sched.SlotSetup {
+			st.setupsDone++
 		}
 	}
 	st.closeGap()
 	return st.place, nil
+}
+
+// enterTail switches emission to the tail's arena the first time the
+// wrap reaches the tail, with no machine open.
+func (st *wrapState) enterTail() {
+	if st.inTail {
+		return
+	}
+	slots, runs := tailBounds(st.tail, st.q, st.item, st.setupsDone)
+	st.b = sched.NewArenaBuilder(slots)
+	st.place.Tail = make([]sched.MachineRun, 0, runs)
+	st.inTail = true
 }
 
 // advance opens the next gap, optionally placing a setup of class `class`
@@ -172,7 +214,8 @@ func (st *wrapState) advance(class int) error {
 	case st.gapIdx < len(st.gaps):
 		g = st.gaps[st.gapIdx]
 	case int64(st.gapIdx-len(st.gaps)) < st.tail.Count:
-		g = Gap{Machine: -1, A: st.tail.A, B: st.tail.B}
+		g = Gap{A: st.tail.A, B: st.tail.B}
+		st.enterTail()
 	default:
 		return ErrTemplateTooSmall
 	}
@@ -180,7 +223,6 @@ func (st *wrapState) advance(class int) error {
 	st.curGap = g
 	st.open = true
 	st.t = g.A
-	st.cur = nil
 	if class >= 0 {
 		s := st.setups[class]
 		if s > 0 {
@@ -188,7 +230,7 @@ func (st *wrapState) advance(class int) error {
 			if start.Sign() < 0 {
 				return fmt.Errorf("%w: class %d setup %d below gap start %s", ErrSetupBelowGap, class, s, g.A)
 			}
-			st.cur = append(st.cur, sched.Slot{Kind: sched.SlotSetup, Class: class, Job: -1, Start: start, End: g.A})
+			st.b.PlaceSlots(sched.Slot{Kind: sched.SlotSetup, Class: class, Job: -1, Start: start, End: g.A})
 		}
 	}
 	return nil
@@ -199,19 +241,16 @@ func (st *wrapState) closeGap() {
 	if !st.open {
 		return
 	}
+	slots := st.b.EndMachine()
 	idx := st.gapIdx - 1
 	if idx < len(st.gaps) {
-		st.place.Machines[idx] = st.cur
-	} else if len(st.cur) > 0 {
-		st.place.Tail = append(st.place.Tail, sched.MachineRun{Count: 1, Slots: st.cur})
+		st.place.Machines[idx] = slots
+	} else if len(slots) > 0 {
+		st.place.Tail = append(st.place.Tail, sched.MachineRun{Count: 1, Slots: slots})
 		st.place.TailUsed++
 	}
 	st.open = false
-	st.cur = nil
 }
-
-// inTail reports whether the open gap is a tail gap.
-func (st *wrapState) inTail() bool { return st.open && st.gapIdx > len(st.gaps) }
 
 // tailLeft returns how many tail gaps remain unopened.
 func (st *wrapState) tailLeft() int64 {
@@ -226,9 +265,8 @@ func (st *wrapState) emit(kind sched.SlotKind, class, job int, length sched.Rat)
 	if length.Sign() <= 0 {
 		return
 	}
-	end := st.t.Add(length)
-	st.cur = append(st.cur, sched.Slot{Kind: kind, Class: class, Job: job, Start: st.t, End: end})
-	st.t = end
+	st.b.PlaceAt(kind, class, job, st.t, length)
+	st.t = st.b.Top()
 }
 
 func (st *wrapState) placeItem(it *Item) error {
@@ -266,8 +304,9 @@ func (st *wrapState) placeItem(it *Item) error {
 				}
 				if full >= 2 {
 					st.closeGap()
-					slots := fullGapSlots(it, st.tail, st.setups)
-					st.place.Tail = append(st.place.Tail, sched.MachineRun{Count: full, Slots: slots})
+					st.enterTail()
+					st.fullGapSlots(it)
+					st.place.Tail = append(st.place.Tail, sched.MachineRun{Count: full, Slots: st.b.EndMachine()})
 					st.place.TailUsed += full
 					st.gapIdx += int(full)
 					remaining = remaining.Sub(gapLen.MulInt(full))
@@ -295,19 +334,83 @@ func fullGapCount(remaining, gapLen sched.Rat) int64 {
 	return ratio.Floor()
 }
 
-// fullGapSlots builds the slot layout of one fully consumed tail gap:
-// an optional setup below the gap plus a job piece spanning the gap.
-func fullGapSlots(it *Item, tail TailRun, setups []int64) []sched.Slot {
-	var slots []sched.Slot
-	if s := setups[it.Class]; s > 0 {
-		slots = append(slots, sched.Slot{
+// fullGapSlots places the slot layout of one fully consumed tail gap as
+// the open machine: an optional setup below the gap plus a job piece
+// spanning the gap.
+func (st *wrapState) fullGapSlots(it *Item) {
+	if s := st.setups[it.Class]; s > 0 {
+		st.b.PlaceSlots(sched.Slot{
 			Kind: sched.SlotSetup, Class: it.Class, Job: -1,
-			Start: tail.A.SubInt(s), End: tail.A,
+			Start: st.tail.A.SubInt(s), End: st.tail.A,
 		})
 	}
-	slots = append(slots, sched.Slot{
+	st.b.PlaceSlots(sched.Slot{
 		Kind: sched.SlotJob, Class: it.Class, Job: it.Job,
-		Start: tail.A, End: tail.B,
+		Start: st.tail.A, End: st.tail.B,
 	})
-	return slots
+}
+
+// explicitSlots sizes the explicit gaps' arena.  Every item emits one
+// slot, in its gap or (a setup) below the next, and opening a gap costs
+// at most one more piece of the job crossing into it plus a setup below
+// the gap.  Job pieces fill gap span, so only items that start before the
+// jobs ahead of them fill the explicit span can land there.  The gaps
+// opened are estimated as those the load fills in order plus one per
+// setup that might not fit; the arena continues in a fresh one should
+// that fall short, and every caller copies these slots onto its own
+// machines anyway.
+func explicitSlots(gaps []Gap, span sched.Rat, q *Sequence) int {
+	items, setups := 0, 0
+	var jobLoad sched.Rat
+	for k := range q.Items {
+		if !jobLoad.Less(span) {
+			break
+		}
+		it := &q.Items[k]
+		items++
+		if it.Kind == sched.SlotSetup {
+			setups++
+		} else {
+			jobLoad = jobLoad.Add(it.Len)
+		}
+	}
+	opened := 1 + setups
+	var filled sched.Rat
+	for _, g := range gaps {
+		if !filled.Less(jobLoad) || opened >= len(gaps) {
+			break
+		}
+		filled = filled.Add(g.Span())
+		opened++
+	}
+	return items + 2*min(opened, len(gaps))
+}
+
+// tailBounds bounds the slots and the runs the wrap emits into the tail
+// once it reaches it at item from, with setupsDone setup items placed.
+//
+// Slots: every item emits one slot as above.  A job crosses at most two
+// tail borders (a bulk run of full gaps leaves less than one gap of it,
+// as does one full gap when no bulk run fits), and a crossing costs at
+// most two slots: a piece and its setup below the gap, or a bulk run's
+// setup and piece.  A bulk run ending a job exactly also costs the next
+// job's setup, so a job adds at most four slots.
+//
+// That is tight when gaps are many per job, not when jobs are many per
+// gap.  There the load bounds the gaps: every tail gap the wrap leaves,
+// except the last, is full or was left by a setup that did not fit, so at
+// most L/span + 1 + (setup items) tail gaps, counting those inside bulk
+// runs, ever open, and each costs at most a piece and a setup.  Tail runs
+// number at most the tail gaps opened, and at most the slots.
+func tailBounds(tail TailRun, q *Sequence, from, setupsDone int) (slots, runs int) {
+	items := len(q.Items) - from
+	setupsLeft := q.setups - setupsDone
+	perJob := 4*(items-setupsLeft) + 1
+	reach := tail.Count
+	// The float quotient is off by far less than the +1 of slack added.
+	if r := q.total.Float64()/tail.B.Sub(tail.A).Float64() + 2 + float64(setupsLeft); r < float64(reach) {
+		reach = int64(r)
+	}
+	slots = items + int(min(int64(perJob), 2*reach))
+	return slots, int(min(reach, int64(slots)))
 }

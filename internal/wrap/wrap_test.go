@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"setupsched/sched"
 )
@@ -43,7 +44,7 @@ func TestWrapSingleGapFits(t *testing.T) {
 	var q Sequence
 	q.AddBatch(0, 2, in.Classes[0].Jobs)
 	seqLoad(t, &q)
-	gaps := []Gap{{Machine: 0, A: sched.R(0), B: sched.R(9)}}
+	gaps := []Gap{{A: sched.R(0), B: sched.R(9)}}
 	p, err := Wrap(gaps, TailRun{}, &q, []int64{2})
 	if err != nil {
 		t.Fatal(err)
@@ -64,8 +65,8 @@ func TestWrapSplitsJobAcrossGaps(t *testing.T) {
 	var q Sequence
 	q.AddBatch(0, 1, in.Classes[0].Jobs)
 	gaps := []Gap{
-		{Machine: 0, A: sched.R(0), B: sched.R(6)},
-		{Machine: 1, A: sched.R(1), B: sched.R(7)},
+		{A: sched.R(0), B: sched.R(6)},
+		{A: sched.R(1), B: sched.R(7)},
 	}
 	p, err := Wrap(gaps, TailRun{}, &q, []int64{1})
 	if err != nil {
@@ -96,8 +97,8 @@ func TestWrapMovesSetupBelowNextGap(t *testing.T) {
 	q.AddBatch(0, 2, in.Classes[0].Jobs)
 	q.AddBatch(1, 4, in.Classes[1].Jobs)
 	gaps := []Gap{
-		{Machine: 0, A: sched.R(0), B: sched.R(7)}, // room for 2+3, then 4 would cross
-		{Machine: 1, A: sched.R(5), B: sched.R(11)},
+		{A: sched.R(0), B: sched.R(7)}, // room for 2+3, then 4 would cross
+		{A: sched.R(5), B: sched.R(11)},
 	}
 	p, err := Wrap(gaps, TailRun{}, &q, []int64{2, 4})
 	if err != nil {
@@ -121,8 +122,8 @@ func TestWrapBorderExactSetupThenJob(t *testing.T) {
 	var q Sequence
 	q.AddBatch(0, 3, in.Classes[0].Jobs)
 	gaps := []Gap{
-		{Machine: 0, A: sched.R(0), B: sched.R(3)},
-		{Machine: 1, A: sched.R(3), B: sched.R(8)},
+		{A: sched.R(0), B: sched.R(3)},
+		{A: sched.R(3), B: sched.R(8)},
 	}
 	p, err := Wrap(gaps, TailRun{}, &q, []int64{3})
 	if err != nil {
@@ -140,7 +141,7 @@ func TestWrapBorderExactSetupThenJob(t *testing.T) {
 func TestWrapTemplateTooSmall(t *testing.T) {
 	var q Sequence
 	q.AddBatch(0, 1, []int64{100})
-	gaps := []Gap{{Machine: 0, A: sched.R(0), B: sched.R(5)}}
+	gaps := []Gap{{A: sched.R(0), B: sched.R(5)}}
 	_, err := Wrap(gaps, TailRun{}, &q, []int64{1})
 	if !errors.Is(err, ErrTemplateTooSmall) {
 		t.Errorf("err = %v, want ErrTemplateTooSmall", err)
@@ -151,8 +152,8 @@ func TestWrapSetupDoesNotFitBelowGap(t *testing.T) {
 	var q Sequence
 	q.AddBatch(0, 3, []int64{4, 4})
 	gaps := []Gap{
-		{Machine: 0, A: sched.R(0), B: sched.R(8)},
-		{Machine: 1, A: sched.R(2), B: sched.R(8)}, // only 2 below gap, setup is 3
+		{A: sched.R(0), B: sched.R(8)},
+		{A: sched.R(2), B: sched.R(8)}, // only 2 below gap, setup is 3
 	}
 	_, err := Wrap(gaps, TailRun{}, &q, []int64{3})
 	if !errors.Is(err, ErrSetupBelowGap) {
@@ -290,5 +291,82 @@ func TestWrapZeroSetupClassFirstItem(t *testing.T) {
 	s := collect(p, nil, sched.Splittable)
 	if err := s.Validate(in); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWrapSlotBounds checks the tail arena's bound over random templates:
+// explicit gaps of mixed spans, tails of a few to a million machines, and
+// jobs from far below to far above a gap, so that setup moves, border
+// splits and bulk runs all occur.  The tail arena is sized once, so the
+// tail's slot lists must lie back to back in one backing array; a bound
+// that fell short would have moved a machine to a fresh array.  Every
+// slot list must be a capacity-capped window.
+func TestWrapSlotBounds(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	capped := func(iter int, w []sched.Slot) {
+		if cap(w) != len(w) {
+			t.Fatalf("iter %d: window len %d cap %d", iter, len(w), cap(w))
+		}
+	}
+	placed := 0
+	for iter := 0; iter < 3000; iter++ {
+		c := rng.Intn(6) + 1
+		smax := int64(8)
+		setups := make([]int64, c)
+		var load int64
+		items := 0
+		maxJob := []int64{5, 40, 400, 100000}[rng.Intn(4)]
+		jobs := make([][]int64, c)
+		for i := range jobs {
+			setups[i] = rng.Int63n(smax + 1)
+			jobs[i] = make([]int64, rng.Intn(8)+1)
+			for j := range jobs[i] {
+				jobs[i][j] = rng.Int63n(maxJob) + 1
+				load += jobs[i][j]
+			}
+			load += setups[i]
+			items += 1 + len(jobs[i])
+		}
+		q := NewSequence(items)
+		for i := range jobs {
+			q.AddBatch(i, setups[i], jobs[i])
+		}
+		var gaps []Gap
+		var span int64
+		for g := rng.Intn(5); g > 0; g-- {
+			a := smax + rng.Int63n(10)
+			b := a + smax + 1 + rng.Int63n(30)
+			gaps = append(gaps, Gap{A: sched.R(a), B: sched.R(b)})
+			span += b - a
+		}
+		h := smax + 1 + rng.Int63n(40)
+		count := (max(load-span, 0)+h-1)/h + int64(rng.Intn(3))
+		if rng.Intn(4) == 0 {
+			count += rng.Int63n(1 << 20)
+		}
+		tail := TailRun{Count: count, A: sched.R(smax), B: sched.R(smax + h)}
+		p, err := Wrap(gaps, tail, q, setups)
+		if err != nil {
+			continue // a border case exhausted the template; not a sizing question
+		}
+		placed++
+		for _, w := range p.Machines {
+			capped(iter, w)
+		}
+		var next *sched.Slot
+		for _, r := range p.Tail {
+			w := r.Slots
+			capped(iter, w)
+			if next != nil && &w[0] != next {
+				t.Fatalf("iter %d: tail windows not back to back: arena bound fell short", iter)
+			}
+			next = (*sched.Slot)(unsafe.Add(unsafe.Pointer(&w[len(w)-1]), unsafe.Sizeof(w[0])))
+		}
+		if _, runs := tailBounds(tail, q, 0, 0); len(p.Tail) > runs {
+			t.Fatalf("iter %d: %d tail runs, bound %d", iter, len(p.Tail), runs)
+		}
+	}
+	if placed < 1000 {
+		t.Fatalf("only %d of 3000 random wraps succeeded", placed)
 	}
 }

@@ -183,7 +183,9 @@ type BucketSnapshot struct {
 }
 
 // Snapshot returns the cumulative bucket counts, total count and sum, as
-// the Prometheus exposition needs them.
+// the Prometheus exposition needs them.  The count is the cumulative
+// total of the bucket reads themselves, so a concurrent Observe can never
+// make the +Inf bucket disagree with _count.
 func (h *Histogram) Snapshot() (buckets []BucketSnapshot, count uint64, sum float64) {
 	buckets = make([]BucketSnapshot, len(h.counts))
 	cum := uint64(0)
@@ -195,7 +197,7 @@ func (h *Histogram) Snapshot() (buckets []BucketSnapshot, count uint64, sum floa
 		}
 		buckets[i] = BucketSnapshot{UpperBound: ub, Cumulative: cum}
 	}
-	return buckets, h.count.Load(), h.Sum()
+	return buckets, cum, h.Sum()
 }
 
 // metricKind discriminates registry entries.

@@ -2,6 +2,7 @@ package setupsched_test
 
 import (
 	"context"
+	"runtime/debug"
 	"testing"
 
 	"setupsched"
@@ -42,6 +43,10 @@ func TestObservedSolveAllocsNoMoreThanBare(t *testing.T) {
 			}
 		}
 	}
+	// AllocsPerRun counts process-wide mallocs, and every GC cycle adds
+	// the runtime's own cleanup allocations (the unique map net/netip
+	// pulls in).  Pausing GC keeps both readings to the solves' own.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	bare := testing.AllocsPerRun(10, solve(nil))
 	withObs := testing.AllocsPerRun(10, solve(metered))
 	if withObs > bare {

@@ -243,24 +243,42 @@ func TestValidateCatchesNonPreemptiveSplit(t *testing.T) {
 }
 
 func TestValidateCatchesParallelSelfExecution(t *testing.T) {
-	in := &Instance{M: 2, Classes: []Class{{Setup: 1, Jobs: []int64{6}}}}
-	s := &Schedule{Variant: Preemptive}
-	b := NewMachineBuilder()
-	b.Place(SlotSetup, 0, -1, R(1))
-	b.Place(SlotJob, 0, 0, R(3))
-	s.AddMachine(b.Slots())
-	b = NewMachineBuilder()
-	b.Place(SlotSetup, 0, -1, R(1))
-	b.Place(SlotJob, 0, 0, R(3)) // runs [1,4) on both machines
-	s.AddMachine(b.Slots())
-	err := s.Validate(in)
-	if err == nil || !strings.Contains(err.Error(), "parallel") {
-		t.Errorf("self-parallel job not caught: %v", err)
-	}
-	// Splittable allows exactly this.
-	s.Variant = Splittable
-	if err := s.Validate(in); err != nil {
-		t.Errorf("splittable version wrongly rejected: %v", err)
+	// piece is one machine: a setup of class 0 ending at start, then a
+	// piece of job (0,0) of the given length.
+	type piece struct{ start, length int64 }
+	for _, tc := range []struct {
+		name     string
+		pieces   []piece // in run order
+		parallel bool    // some two pieces overlap in time
+	}{
+		// Two machines both run the job over [1,4).
+		{"two identical pieces", []piece{{1, 3}, {1, 3}}, true},
+		// Only the first and third pieces in run order overlap: [1,3)
+		// and [2,4), with [5,7) between them in run order.
+		{"first and third of three overlap", []piece{{1, 2}, {5, 2}, {2, 2}}, true},
+		// The same three pieces moved apart: [1,3), [5,7), [3,5).
+		{"three disjoint pieces", []piece{{1, 2}, {5, 2}, {3, 2}}, false},
+	} {
+		in := &Instance{M: 3, Classes: []Class{{Setup: 1, Jobs: []int64{6}}}}
+		s := &Schedule{Variant: Preemptive}
+		b := NewMachineBuilder()
+		for _, p := range tc.pieces {
+			b.PlaceAt(SlotSetup, 0, -1, R(p.start-1), R(1))
+			b.Place(SlotJob, 0, 0, R(p.length))
+			s.AddMachine(b.EndMachine())
+		}
+		err := s.Validate(in)
+		if tc.parallel && (err == nil || !strings.Contains(err.Error(), "parallel")) {
+			t.Errorf("%s: self-parallel job not caught: %v", tc.name, err)
+		}
+		if !tc.parallel && err != nil {
+			t.Errorf("%s: wrongly rejected: %v", tc.name, err)
+		}
+		// Splittable allows parallel pieces.
+		s.Variant = Splittable
+		if err := s.Validate(in); err != nil {
+			t.Errorf("%s: splittable version wrongly rejected: %v", tc.name, err)
+		}
 	}
 }
 
@@ -304,9 +322,42 @@ func TestMachineBuilder(t *testing.T) {
 	if len(b.Slots()) != 2 {
 		t.Error("zero-length slot emitted")
 	}
-	b.Reset()
+	first := b.EndMachine()
 	if len(b.Slots()) != 0 || !b.Top().IsZero() {
-		t.Error("Reset incomplete")
+		t.Error("EndMachine did not open an empty machine at time 0")
+	}
+	if len(first) != 2 || cap(first) != 2 {
+		t.Errorf("closed machine len/cap = %d/%d, want 2/2", len(first), cap(first))
+	}
+}
+
+// TestMachineBuilderArena checks that machines closed by one builder are
+// capacity-capped windows of a shared arena: appending to one machine
+// copies, leaving the next machine's slots intact, and a builder whose
+// arena fills up continues without disturbing closed machines.
+func TestMachineBuilderArena(t *testing.T) {
+	for _, size := range []int{0, 3, 64} {
+		b := NewArenaBuilder(size)
+		var machines [][]Slot
+		for u := 0; u < 5; u++ {
+			b.Place(SlotSetup, u, -1, R(1))
+			b.Place(SlotJob, u, 0, R(int64(u+1)))
+			machines = append(machines, b.EndMachine())
+		}
+		for u, m := range machines {
+			if len(m) != 2 || cap(m) != 2 {
+				t.Fatalf("size %d machine %d: len/cap = %d/%d", size, u, len(m), cap(m))
+			}
+		}
+		grown := append(machines[0], Slot{Kind: SlotJob, Class: 9, Job: 9, Start: R(50), End: R(60)})
+		if len(grown) != 3 || machines[1][0].Class != 1 || machines[1][1].End.Cmp(R(3)) != 0 {
+			t.Fatalf("size %d: append to machine 0 overwrote machine 1: %+v", size, machines[1])
+		}
+		for u, m := range machines {
+			if m[0].Class != u || m[1].Class != u || !m[1].End.Equal(R(int64(u+2))) {
+				t.Fatalf("size %d machine %d corrupted: %+v", size, u, m)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -123,6 +124,9 @@ func (r Rat) Neg() Rat {
 func (r Rat) Add(o Rat) Rat {
 	rd, od := r.Den(), o.Den()
 	if rd == od {
+		if rd == 1 { // two integers: already normalized
+			return Rat{addChecked(r.n, o.n), 1}
+		}
 		return RatOf(addChecked(r.n, o.n), rd)
 	}
 	g := gcd64(rd, od)
@@ -202,6 +206,9 @@ func (r Rat) Quarter() Rat { return r.DivInt(4) }
 
 // Cmp compares r and o, returning -1, 0, or 1.
 func (r Rat) Cmp(o Rat) int {
+	if r.Den() == o.Den() { // common denominator: compare numerators
+		return cmp.Compare(r.n, o.n)
+	}
 	return num128.CmpProd(r.n, o.Den(), o.n, r.Den())
 }
 

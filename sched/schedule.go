@@ -34,6 +34,13 @@ func (s *Slot) Len() Rat { return s.End.Sub(s.Start) }
 // length L in a run of Count k accounts for k*L units of that job's work.
 type MachineRun struct {
 	Count int64
+	// Slots is the machine's slot list in time order.  The solvers emit
+	// every machine of a schedule through one MachineBuilder, so the runs
+	// share one backing array and each Slots is a capacity-capped window
+	// of it: appending to one run's Slots copies rather than overwriting
+	// the next run's slots.  The shared array lives as long as any run of
+	// the schedule does, which is why it is sized to the schedule and
+	// never taken from reused scratch.
 	Slots []Slot
 }
 
@@ -117,17 +124,38 @@ func (s *Schedule) String() string {
 		s.Variant.Short(), s.MachineCount(), s.NumSlots(), s.Makespan())
 }
 
-// MachineBuilder incrementally builds the slot list of one machine,
-// tracking the running top-of-machine time.
+// MachineBuilder emits the slot lists of a schedule's machines, one open
+// machine at a time, into one shared arena.  EndMachine hands the open
+// machine's slots back as the window arena[start:len:len] and opens the
+// next machine at time 0, so every machine of a schedule is a
+// capacity-capped window of the same backing array (see MachineRun.Slots).
+//
+// Sized with NewArenaBuilder from an exact count or a tight upper bound of
+// the slots to come, the whole schedule costs one allocation.  A full
+// arena continues in a fresh one (only the open machine's slots move), so
+// a short count costs an extra allocation, never a wrong schedule.  The
+// arena escapes into the schedule it builds: it must never come from
+// reused scratch or a sync.Pool, or a later build would overwrite a
+// schedule still in use.
 type MachineBuilder struct {
-	slots []Slot
+	arena []Slot
+	start int // arena index of the open machine's first slot
 	top   Rat
+	grown int // slots of all arenas allocated so far
 }
 
-// NewMachineBuilder returns a builder starting at time 0.
+// NewMachineBuilder returns a builder with an empty arena that grows as
+// slots are placed; for schedules whose slot count is known up front use
+// NewArenaBuilder.
 func NewMachineBuilder() *MachineBuilder { return &MachineBuilder{} }
 
-// Top returns the current top-of-machine time (end of the last slot).
+// NewArenaBuilder returns a builder whose arena has room for slots slots.
+func NewArenaBuilder(slots int) *MachineBuilder {
+	return &MachineBuilder{arena: make([]Slot, 0, slots), grown: slots}
+}
+
+// Top returns the open machine's top-of-machine time (end of its last
+// slot, or of its last zero-length placement).
 func (b *MachineBuilder) Top() Rat { return b.top }
 
 // PlaceAt places a slot of the given length starting at the given time,
@@ -146,20 +174,55 @@ func (b *MachineBuilder) PlaceAt(kind SlotKind, class, job int, start, length Ra
 		panic(fmt.Sprintf("sched: slot placed at %s below machine top %s", start, b.top))
 	}
 	end := start.Add(length)
-	b.slots = append(b.slots, Slot{Kind: kind, Class: class, Job: job, Start: start, End: end})
+	b.push(Slot{Kind: kind, Class: class, Job: job, Start: start, End: end})
 	b.top = end
 }
 
-// Place appends a slot directly on top of the machine.
+// Place appends a slot directly on top of the open machine.
 func (b *MachineBuilder) Place(kind SlotKind, class, job int, length Rat) {
 	b.PlaceAt(kind, class, job, b.top, length)
 }
 
-// Slots returns the accumulated slots.
-func (b *MachineBuilder) Slots() []Slot { return b.slots }
+// PlaceSlots appends copies of already-built slots, which must be sorted
+// and start at or above the open machine's top.
+func (b *MachineBuilder) PlaceSlots(slots ...Slot) {
+	if len(slots) == 0 {
+		return
+	}
+	if slots[0].Start.Cmp(b.top) < 0 {
+		panic(fmt.Sprintf("sched: slot placed at %s below machine top %s", slots[0].Start, b.top))
+	}
+	for _, sl := range slots {
+		b.push(sl)
+	}
+	b.top = slots[len(slots)-1].End
+}
 
-// Reset clears the builder for reuse.
-func (b *MachineBuilder) Reset() {
-	b.slots = nil
+// push appends one slot to the open machine.  A full arena continues in
+// a fresh one half the size of all arenas so far, so a growing builder
+// allocates geometrically and a slightly short count costs a modest
+// extra arena.  The closed machines' windows keep the old arena alive,
+// so only the open machine's slots are copied.
+func (b *MachineBuilder) push(sl Slot) {
+	if len(b.arena) == cap(b.arena) {
+		open := b.arena[b.start:]
+		size := max(b.grown/2, 2*len(open), 8)
+		next := make([]Slot, len(open), size)
+		copy(next, open)
+		b.arena, b.start = next, 0
+		b.grown += size
+	}
+	b.arena = append(b.arena, sl)
+}
+
+// Slots returns the open machine's slots so far, capacity-capped.
+func (b *MachineBuilder) Slots() []Slot { return b.arena[b.start:len(b.arena):len(b.arena)] }
+
+// EndMachine closes the open machine, returning its slots, and opens the
+// next one at time 0.
+func (b *MachineBuilder) EndMachine() []Slot {
+	slots := b.Slots()
+	b.start = len(b.arena)
 	b.top = Rat{}
+	return slots
 }

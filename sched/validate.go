@@ -2,7 +2,7 @@ package sched
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // ValidationError describes a feasibility violation found by Validate.
@@ -53,14 +53,7 @@ func (s *Schedule) Validate(in *Instance) error {
 		offsets[i+1] = offsets[i] + len(in.Classes[i].Jobs)
 	}
 	n := offsets[len(in.Classes)]
-	done := make([]Rat, n)
-
-	type interval struct{ start, end Rat }
-	var pieces [][]interval
-	if s.Variant == Preemptive {
-		pieces = make([][]interval, n)
-	}
-	slotCount := make([]int64, n)
+	jobs := make([]jobWork, n)
 
 	for ri := range s.Runs {
 		run := &s.Runs[ri]
@@ -107,13 +100,9 @@ func (s *Schedule) Validate(in *Instance) error {
 							sl.Class, sl.Start, sl.Class, prev.Class, prev.End)
 					}
 				}
-				g := offsets[sl.Class] + sl.Job
-				add := sl.Len().MulInt(run.Count)
-				done[g] = done[g].Add(add)
-				slotCount[g] += run.Count
-				if pieces != nil {
-					pieces[g] = append(pieces[g], interval{sl.Start, sl.End})
-				}
+				jw := &jobs[offsets[sl.Class]+sl.Job]
+				jw.done = jw.done.Add(sl.Len().MulInt(run.Count))
+				jw.pieces += run.Count
 			default:
 				return vErr(ri, si, "unknown slot kind %d", sl.Kind)
 			}
@@ -127,29 +116,77 @@ func (s *Schedule) Validate(in *Instance) error {
 	// Work accounting.
 	for c := range in.Classes {
 		for j, t := range in.Classes[c].Jobs {
-			g := offsets[c] + j
-			if done[g].CmpInt(t) != 0 {
-				return vErr(-1, -1, "job (%d,%d) received %s of %d processing units", c, j, done[g], t)
+			jw := &jobs[offsets[c]+j]
+			if jw.done.CmpInt(t) != 0 {
+				return vErr(-1, -1, "job (%d,%d) received %s of %d processing units", c, j, jw.done, t)
 			}
-			if s.Variant == NonPreemptive && slotCount[g] != 1 {
-				return vErr(-1, -1, "non-preemptive job (%d,%d) scheduled in %d pieces", c, j, slotCount[g])
+			if s.Variant == NonPreemptive && jw.pieces != 1 {
+				return vErr(-1, -1, "non-preemptive job (%d,%d) scheduled in %d pieces", c, j, jw.pieces)
 			}
 		}
 	}
+	if s.Variant == Preemptive {
+		return s.checkNoSelfOverlap(offsets, jobs)
+	}
+	return nil
+}
 
-	// Preemptive: no two pieces of a job may overlap in time.
-	if pieces != nil {
-		for g := range pieces {
-			ivs := pieces[g]
-			if len(ivs) < 2 {
+// jobWork is the per-job tally of Validate: the work received and the
+// number of pieces (counting run multiplicities).
+type jobWork struct {
+	done   Rat
+	pieces int64
+}
+
+// interval is one job piece [start, end).
+type interval struct{ start, end Rat }
+
+// checkNoSelfOverlap verifies that no two pieces of a preemptive job run
+// at the same time.  It buckets the pieces of every job in two or more
+// pieces into one flat slice, ordered by job (a counting sort whose
+// cursors reuse jobs[g].pieces), and sorts only those small ranges.  Runs
+// holding job slots have multiplicity 1 here, so a job's piece count is
+// its slot count.
+func (s *Schedule) checkNoSelfOverlap(offsets []int, jobs []jobWork) error {
+	total := int64(0)
+	for g := range jobs {
+		if k := jobs[g].pieces; k >= 2 {
+			jobs[g].pieces = total // bucket start, advanced as pieces land
+			total += k
+		} else {
+			jobs[g].pieces = -1
+		}
+	}
+	if total == 0 {
+		return nil
+	}
+	flat := make([]interval, total)
+	for ri := range s.Runs {
+		for _, sl := range s.Runs[ri].Slots {
+			if sl.Kind != SlotJob {
 				continue
 			}
-			sort.Slice(ivs, func(a, b int) bool { return ivs[a].start.Less(ivs[b].start) })
-			for k := 1; k < len(ivs); k++ {
-				if ivs[k].start.Less(ivs[k-1].end) {
-					return vErr(-1, -1, "preemptive job %d runs in parallel with itself: [%s,%s) overlaps [%s,%s)",
-						g, ivs[k-1].start, ivs[k-1].end, ivs[k].start, ivs[k].end)
-				}
+			if jw := &jobs[offsets[sl.Class]+sl.Job]; jw.pieces >= 0 {
+				flat[jw.pieces] = interval{sl.Start, sl.End}
+				jw.pieces++
+			}
+		}
+	}
+	// Each cursor now sits at its bucket's end, and buckets are laid out
+	// in job order, so a bucket spans from the previous bucket's end.
+	lo := int64(0)
+	for g := range jobs {
+		hi := jobs[g].pieces
+		if hi < 0 {
+			continue
+		}
+		ivs := flat[lo:hi]
+		lo = hi
+		slices.SortStableFunc(ivs, func(a, b interval) int { return a.start.Cmp(b.start) })
+		for k := 1; k < len(ivs); k++ {
+			if ivs[k].start.Less(ivs[k-1].end) {
+				return vErr(-1, -1, "preemptive job %d runs in parallel with itself: [%s,%s) overlaps [%s,%s)",
+					g, ivs[k-1].start, ivs[k-1].end, ivs[k].start, ivs[k].end)
 			}
 		}
 	}

@@ -234,14 +234,14 @@ func resolveOptions(opts []Option) (*solveConfig, error) {
 // speculative probing) is recorded at its first evaluation.
 type traceObserver struct {
 	trace []Probe
-	seen  map[string]bool
+	seen  map[[2]int64]bool // keyed by the guess's normalized (Num, Den)
 }
 
 func (t *traceObserver) ProbeStarted(Rat) {}
 func (t *traceObserver) ProbeFinished(T Rat, accepted bool) {
-	key := T.String()
+	key := [2]int64{T.Num(), T.Den()}
 	if t.seen == nil {
-		t.seen = make(map[string]bool)
+		t.seen = make(map[[2]int64]bool)
 	}
 	if t.seen[key] {
 		return
