@@ -29,12 +29,13 @@ bench:
 # without paying for full measurement runs.
 bench-smoke:
 	$(GO) test -bench='SolveCold|SolveHit|Fingerprint|HTTPSolve' -benchtime=1x -run=^$$ ./serve
-	$(GO) test -bench='SolverReuse|SolverOneShotPerCall|DualTest|SolveFacade|Parallel_' -benchtime=1x -run=^$$ .
+	$(GO) test -bench='SolverReuse|SolverOneShotPerCall|DualTest|Parallel_' -benchtime=1x -run=^$$ .
 	$(GO) test -bench='Session_' -benchtime=1x -run=^$$ ./stream
 	$(GO) test -bench='EvalNonp' -benchtime=1x -run=^$$ ./internal/core
 
 # Regenerate the machine-readable performance-trajectory baseline
-# (parallel engine vs serial path; see README "Performance tracking").
+# (search paths, SolveAll fan-out vs serial, sessions; see README
+# "Performance tracking").
 BENCH_SIZES ?= 1000,10000,100000
 BENCH_REPS  ?= 3
 BENCH_PAR   ?= 4

@@ -295,13 +295,14 @@ func BenchmarkAblation_JumpVsEps_Eps(b *testing.B) {
 	}
 }
 
-// --- Parallel engine: speculative probing and SolveAll fan-out ---
+// --- Parallel engine: SolveAll fan-out ---
 //
-// The serial/parallel pairs below are the wall-clock datapoints behind
-// BENCH_core.json (see cmd/schedbench -json).  The instance shape is
-// machine-rich and setup-dominated so every search genuinely probes
-// (~10-24 dual tests); on a single-core box the parallel variants pay
-// goroutine overhead without a win — compare the pairs on GOMAXPROCS > 1.
+// The serial/fan-out trio below is the wall-clock datapoint behind the
+// solveall/paper rows of BENCH_core.json (see cmd/schedbench -json).  The
+// instance shape is machine-rich and setup-dominated so every search
+// genuinely probes (~10-24 dual tests); on a single-core box the fan-out
+// variants pay goroutine overhead without a win — compare them on
+// GOMAXPROCS > 1.
 
 func benchSearchyInstance(n int) *Instance {
 	classes := n / 8
@@ -313,34 +314,6 @@ func benchSearchyInstance(n int) *Instance {
 		MaxSetup: 500, MaxJob: 60, Seed: int64(n),
 	})
 }
-
-func benchSpeculativeNonp(b *testing.B, k int) {
-	p := core.Prepare(benchSearchyInstance(100000))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.SolveNonpSearch(core.Ctl{Parallelism: k}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkParallel_NonpSearch_Serial(b *testing.B) { benchSpeculativeNonp(b, 1) }
-func BenchmarkParallel_NonpSearch_Spec4(b *testing.B)  { benchSpeculativeNonp(b, 4) }
-
-func benchSpeculativeEps(b *testing.B, k int) {
-	p := core.Prepare(benchSearchyInstance(100000))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.SolveEps(core.Ctl{Parallelism: k}, sched.Preemptive, 1e-6); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkParallel_EpsSearch_Serial(b *testing.B) { benchSpeculativeEps(b, 1) }
-func BenchmarkParallel_EpsSearch_Spec4(b *testing.B)  { benchSpeculativeEps(b, 4) }
 
 func benchSolveAll(b *testing.B, par int) {
 	s, err := NewSolver(benchSearchyInstance(100000))
@@ -370,19 +343,8 @@ func BenchmarkParallel_SolveAll_Serial(b *testing.B)  { benchSolveAll(b, 1) }
 func BenchmarkParallel_SolveAll_Fanout4(b *testing.B) { benchSolveAll(b, 4) }
 func BenchmarkParallel_SolveAll_Fanout9(b *testing.B) { benchSolveAll(b, 9) }
 
-// End-to-end Solve through the public API (includes validation-free path).
-func BenchmarkSolveFacade(b *testing.B) {
-	in := benchInstance(10000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Solve(in, NonPreemptive, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Solver reuse vs one-shot: the one-shot facade re-validates and
-// re-prepares the instance on every call; a reused Solver pays both once.
+// Solver reuse vs one-shot: a Solver built per call re-validates and
+// re-prepares the instance every time; a reused Solver pays both once.
 // This pair quantifies the gap the Solver API exists to close (the
 // serving layer's repeated-traffic hot path).
 func BenchmarkSolverOneShotPerCall(b *testing.B) {
@@ -415,8 +377,8 @@ func BenchmarkSolverReuse(b *testing.B) {
 }
 
 // Repeated dual tests are where preparation reuse pays most: a rejected
-// probe is one O(n) evaluation with no schedule construction, so the
-// legacy free function spends about half its time re-validating and
+// probe is one O(n) evaluation with no schedule construction, so a
+// Solver built per probe spends about half its time re-validating and
 // re-preparing the instance.  The guess below is under the trivial bound
 // and always rejected.
 func BenchmarkDualTestOneShot(b *testing.B) {
@@ -424,7 +386,11 @@ func BenchmarkDualTestOneShot(b *testing.B) {
 	T := sched.R(in.N() / in.M / 2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := DualTest(in, NonPreemptive, T); err != nil {
+		s, err := NewSolver(in)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := s.DualTest(context.Background(), NonPreemptive, T); err != nil {
 			b.Fatal(err)
 		}
 	}

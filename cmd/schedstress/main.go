@@ -16,7 +16,7 @@
 //	schedstress -families all -seeds 50          # one full verified sweep
 //	schedstress -duration 10s                    # soak until the clock runs out
 //	schedstress -families nearhalf,ratstress -v  # drill into two regimes
-//	schedstress -parallelism 4 -crosscheck 4     # exercise + verify the parallel engine
+//	schedstress -parallelism 4 -crosscheck 4     # exercise + verify the SolveAll fan-out
 //	schedstress -drift -seeds 10                 # incremental-vs-fresh identity soak
 //
 // With -drift the soak switches to the streaming layer: schedgen drift
@@ -61,7 +61,7 @@ func run() int {
 	seedBase := flag.Int64("seedbase", 0, "first seed of the sweep")
 	workers := flag.Int("workers", runtime.NumCPU(), "parallel check workers")
 	parallelism := flag.Int("parallelism", 1, "per-instance SolveAll fan-out width (each instance's nine algorithms solved concurrently)")
-	crossCheck := flag.Int("crosscheck", 0, "if > 1, also verify the parallel engine (fan-out + speculative probing at this width) is bit-identical to the serial path")
+	crossCheck := flag.Int("crosscheck", 0, "if > 1, also verify the SolveAll fan-out at this width is bit-identical to the serial path")
 	duration := flag.Duration("duration", 0, "keep sweeping fresh seeds until this much time has passed (0 = one sweep)")
 	eps := flag.Float64("eps", diff.DefaultEpsilon, "accuracy of the eps-search specs")
 	exactBudget := flag.Int64("exactbudget", 0, "if > 0, run the branch-and-bound exact reference per instance with this node budget (true-ratio checks where it converges, certified OPT brackets where it does not)")

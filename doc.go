@@ -79,30 +79,24 @@
 // A Solver is immutable after NewSolver and safe for concurrent use: any
 // number of goroutines may call Solve, SolveAll, DualTest and LowerBound
 // on one Solver simultaneously, all sharing the one prepared instance.
-// On top of that, two knobs parallelize a single logical request:
-//
-//   - Solve with WithParallelism(n) probes speculatively: the dual
-//     search evaluates up to n candidate guesses concurrently per round
-//     and keeps the tightest accept/reject bracket.  The accepted guess,
-//     certified lower bound and schedule are bit-identical to the serial
-//     search; only latency, Probes and the Trace length change.
-//   - SolveAll solves many (variant, algorithm) combinations — by
-//     default the paper's nine, see PaperRuns and WithRuns — off the one
-//     shared preparation, with WithParallelism(n) bounding the number of
-//     concurrent runs and results reported in deterministic (requested)
-//     order.
+// One knob parallelizes a single logical request: SolveAll solves many
+// (variant, algorithm) combinations — by default the paper's nine, see
+// PaperRuns and WithRuns — off the one shared preparation, with
+// WithParallelism(n) bounding the number of concurrent runs and results
+// reported in deterministic (requested) order.  Each search itself is
+// serial, as in the paper: O(log) probes of an O(n) dual test.  Solve and
+// DualTest reject WithParallelism.
 //
 // Observer event ordering: one solve emits its events sequentially from
-// the goroutine coordinating it, never concurrently.  A speculative
-// batch of k guesses is reported as a block — k ProbeStarted calls in
-// ascending-T order before any evaluation runs, then the k matching
-// ProbeFinished calls in the same order.  An Observer shared by several
+// the goroutine running it, never concurrently, each probe as one
+// ProbeStarted/ProbeFinished pair.  An Observer shared by several
 // concurrent solves (one metrics sink behind a server, or any Observer
-// passed to SolveAll) must be safe for concurrent use.  Result.Trace
-// stays execution-ordered and deduplicated by guess under speculation.
+// passed to SolveAll) must be safe for concurrent use.  A search never
+// probes one guess twice, so Result.Trace holds exactly Probes entries
+// in execution order.
 //
 // The whole tree runs race-clean (go test -race ./..., enforced in CI),
-// and internal/diff cross-checks the parallel engine's bit-identity
+// and internal/diff cross-checks the SolveAll fan-out's bit-identity
 // against the serial path over the full schedgen catalog.
 //
 // # Observability
@@ -120,7 +114,7 @@
 // ALGORITHMS.md for the span-name-to-paper-phase map.
 //
 // See ALGORITHMS.md for the paper-to-code map of all nine algorithms and
-// the search machinery the parallel engine plugs into.
+// the search machinery they share.
 //
 // # Incremental sessions
 //
@@ -143,12 +137,6 @@
 // sessions and fresh solvers side by side to enforce all of this
 // (tier-1, schedstress -drift, FuzzSessionDeltas).
 //
-// Migration from the legacy free functions (kept as deprecated shims):
-//
-//	Solve(in, v, &Options{Algorithm: a, Epsilon: e})  ->  NewSolver(in); s.Solve(ctx, v, WithAlgorithm(a), WithEpsilon(e))
-//	DualTest(in, v, T)                                ->  NewSolver(in); s.DualTest(ctx, v, T)
-//	LowerBound(in, v)                                 ->  NewSolver(in); s.LowerBound(v)
-//
 // Errors are typed: ErrNilInstance, *ValidationError (bad instance),
 // *EpsilonRangeError (epsilon outside (0, 1)), ErrCanceled (context),
 // ErrProbeLimit (budget from WithProbeLimit exhausted).
@@ -162,10 +150,8 @@
 // under permutation of classes and of jobs within a class.  Cached
 // results are re-checked with Verify before they are served.  The
 // service keeps one prepared Solver per fingerprint, honors per-request
-// timeouts, client-disconnect cancellation and a per-request parallelism
-// knob (speculative probing, clamped server-side), and reports
-// probe-level search metrics plus the process's goroutine posture on
-// /v1/stats.  Stateful delta traffic goes through the /v1/sessions
+// timeouts and client-disconnect cancellation, and reports probe-level
+// search metrics plus the process's goroutine posture on /v1/stats.  Stateful delta traffic goes through the /v1/sessions
 // endpoints, which keep stream.Sessions alive server-side under TTL and
 // LRU eviction; a saturated batch worker pool answers 429 with
 // Retry-After instead of queueing unboundedly.

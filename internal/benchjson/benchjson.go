@@ -1,8 +1,9 @@
 // Package benchjson measures the solve engines against their baselines
 // through the public APIs and emits/validates the machine-readable
-// BENCH_core.json performance-trajectory report: the parallel engine vs
-// the serial path, and the incremental session engine (warm re-solve
-// after a delta) vs a cold NewSolver+Solve.  It lives outside
+// BENCH_core.json performance-trajectory report: each single search
+// path, the SolveAll fan-out vs its serial run, and the incremental
+// session engine (warm re-solve after a delta) vs a cold
+// NewSolver+Solve.  It lives outside
 // internal/expt so the root package's benchmarks can keep importing expt
 // without an import cycle.
 package benchjson
@@ -38,8 +39,9 @@ type BenchResult struct {
 	// N is the instance's job count.
 	N int `json:"n"`
 	// Mode pairs up baselines and contenders: "serial" vs "parallel"
-	// (speculative probing resp. SolveAll fan-out), and "cold" vs "warm"
-	// (fresh NewSolver+Solve per change vs session delta + warm re-solve).
+	// (the SolveAll fan-out; single search paths have serial rows only),
+	// and "cold" vs "warm" (fresh NewSolver+Solve per change vs session
+	// delta + warm re-solve).
 	Mode string `json:"mode"`
 	// Parallelism is the goroutine width of the parallel mode (1
 	// otherwise).
@@ -53,16 +55,19 @@ type BenchResult struct {
 	// algorithm phases — the O(n) preprocessing, the dual-approximation
 	// threshold search, and the schedule build — measured by one
 	// span-instrumented solve of the same path (serial single-solve rows
-	// only; omitted on fan-out, parallel and session rows).  PrepareNs is
+	// only; omitted on fan-out and session rows).  PrepareNs is
 	// the instance's one-time NewSolver cost, shared by the size's rows.
 	PrepareNs float64 `json:"prepare_ns,omitempty"`
 	SearchNs  float64 `json:"search_ns,omitempty"`
 	BuildNs   float64 `json:"build_ns,omitempty"`
 }
 
-// modePeer maps each mode to the counterpart it is compared against.
+// modePeer maps each mode to the counterpart every row of that mode needs
+// in its run: a parallel row is compared against its serial baseline, and
+// cold/warm rows pair both ways.  Serial rows need none, since single
+// search paths have no parallel contender.
 var modePeer = map[string]string{
-	"serial": "parallel", "parallel": "serial",
+	"serial": "", "parallel": "serial",
 	"cold": "warm", "warm": "cold",
 }
 
@@ -108,9 +113,10 @@ func MergeRun(rep *BenchReport, run BenchRun) {
 // benchSpec is one measured solve path.
 type benchSpec struct {
 	name string
-	// single marks paths that are one Solver.Solve call, which a span
-	// recorder can attribute to phases (the fan-out interleaves nine
-	// searches' probe events, so its spans would misattribute).
+	// single marks paths that are one Solver.Solve call: they are
+	// measured serially only, and a span recorder can attribute them to
+	// phases (the fan-out interleaves nine searches' probe events, so its
+	// spans would misattribute).  The other paths also get a parallel row.
 	single bool
 	run    func(s *setupsched.Solver, parallelism int, extra ...setupsched.Option) (probes int, err error)
 }
@@ -119,7 +125,7 @@ func benchSpecs() []benchSpec {
 	var out []benchSpec
 	for _, r := range setupsched.PaperRuns() {
 		if r.Algorithm == setupsched.TwoApprox {
-			continue // no search to speculate on
+			continue // no search to measure
 		}
 		r := r
 		var name string
@@ -136,12 +142,8 @@ func benchSpecs() []benchSpec {
 		} else {
 			name += "exact32"
 		}
-		out = append(out, benchSpec{name: name, single: true, run: func(s *setupsched.Solver, parallelism int, extra ...setupsched.Option) (int, error) {
-			opts := []setupsched.Option{setupsched.WithAlgorithm(r.Algorithm)}
-			if parallelism > 1 {
-				opts = append(opts, setupsched.WithParallelism(parallelism))
-			}
-			opts = append(opts, extra...)
+		out = append(out, benchSpec{name: name, single: true, run: func(s *setupsched.Solver, _ int, extra ...setupsched.Option) (int, error) {
+			opts := append([]setupsched.Option{setupsched.WithAlgorithm(r.Algorithm)}, extra...)
 			res, err := s.Solve(context.Background(), r.Variant, opts...)
 			if err != nil {
 				return 0, err
@@ -172,11 +174,11 @@ func benchSpecs() []benchSpec {
 
 // BenchCoreInstance builds the setup-heavy instance shape used for the
 // trajectory datapoints.  Unlike the uniform shape, its dual searches
-// genuinely probe, so the speculative, fan-out and warm-start paths are
-// all exercised.  Setup and job magnitudes are large (~2e9 resp. ~2e8):
+// genuinely probe, so the search, fan-out and warm-start paths are all
+// exercised.  Setup and job magnitudes are large (~2e9 resp. ~2e8):
 // the searches' probe counts scale with log T — the paper's
 // O(n log(n + Delta)) — so value-heavy instances are where search cost,
-// and therefore speculation and warm starts, genuinely matter; tiny
+// and therefore warm starts, genuinely matter; tiny
 // magnitudes would hide the search behind the O(n) schedule emission.
 // (v1 reports used MaxSetup 500; v2 datapoints are not comparable.)
 func BenchCoreInstance(n int) *sched.Instance {
@@ -292,10 +294,11 @@ func benchSession(in *sched.Instance, v sched.Variant, reps int) (cold, warm Ben
 	return cold, warm, nil
 }
 
-// BenchCore measures the parallel solve engine against the serial path
-// and the session engine against stateless re-solving, across instance
-// sizes, returning one environment-keyed run.  parallelism <= 1 defaults
-// to runtime.GOMAXPROCS(0).
+// BenchCore measures every single search path, the SolveAll fan-out
+// against its serial run, and the session engine against stateless
+// re-solving, across instance sizes, returning one environment-keyed
+// run.  parallelism is the fan-out width; <= 1 defaults to
+// runtime.GOMAXPROCS(0).
 func BenchCore(sizes []int, reps, parallelism int) (*BenchRun, error) {
 	if len(sizes) == 0 {
 		return nil, errors.New("benchjson: BenchCore needs at least one size")
@@ -333,10 +336,15 @@ func BenchCore(sizes []int, reps, parallelism int) (*BenchRun, error) {
 		}
 		nj := in.NumJobs()
 		for _, spec := range benchSpecs() {
-			for _, mode := range []struct {
+			type benchMode struct {
 				name string
 				par  int
-			}{{"serial", 1}, {"parallel", parallelism}} {
+			}
+			modes := []benchMode{{"serial", 1}}
+			if !spec.single {
+				modes = append(modes, benchMode{"parallel", parallelism})
+			}
+			for _, mode := range modes {
 				var probes int
 				// One warm-up solve keeps one-time costs out of the mean.
 				if probes, err = spec.run(solver, mode.par); err != nil {
@@ -383,8 +391,9 @@ func BenchCore(sizes []int, reps, parallelism int) (*BenchRun, error) {
 
 // ValidateBenchReport checks the structural invariants of a BENCH_core
 // report: schema tag, at least one run, environment fields, unique
-// environment keys, and positive measurements with a mode counterpart
-// (serial/parallel resp. cold/warm) for every (name, n) within each run.
+// environment keys, and positive measurements with their mode
+// counterpart (a serial row for every parallel row, cold/warm both ways)
+// for every (name, n) within each run.
 func ValidateBenchReport(rep *BenchReport) error {
 	if rep == nil {
 		return errors.New("benchjson: nil bench report")
@@ -429,14 +438,14 @@ func validateRun(run *BenchRun) error {
 		if r.Name == "" || r.N < 1 || r.NsPerOp <= 0 || r.Parallelism < 1 {
 			return fmt.Errorf("malformed result %+v", r)
 		}
-		if modePeer[r.Mode] == "" {
+		if _, ok := modePeer[r.Mode]; !ok {
 			return fmt.Errorf("result %q has unknown mode %q", r.Name, r.Mode)
 		}
 		seen[key{r.Name, r.N, r.Mode}] = true
 	}
 	for k := range seen {
-		if !seen[key{k.name, k.n, modePeer[k.mode]}] {
-			return fmt.Errorf("result %s n=%d has no %s counterpart", k.name, k.n, modePeer[k.mode])
+		if peer := modePeer[k.mode]; peer != "" && !seen[key{k.name, k.n, peer}] {
+			return fmt.Errorf("result %s n=%d has no %s counterpart", k.name, k.n, peer)
 		}
 	}
 	return nil

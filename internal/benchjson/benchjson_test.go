@@ -27,9 +27,15 @@ func TestBenchCoreShape(t *testing.T) {
 		if r.Probes < 2 {
 			t.Errorf("%s n=%d %s: only %d probes; bench instance no longer exercises the search", r.Name, r.N, r.Mode, r.Probes)
 		}
+		// Single search paths run serially only; the fan-out is the one
+		// parallel path.
+		if r.Mode == "parallel" && r.Name != "solveall/paper" {
+			t.Errorf("%s n=%d: unexpected parallel row", r.Name, r.N)
+		}
 	}
 	for _, want := range []string{
-		"split/exact32/serial", "split/exact32/parallel",
+		"split/eps/serial", "split/exact32/serial", "pmtn/eps/serial",
+		"pmtn/exact32/serial", "nonp/eps/serial", "nonp/exact32/serial",
 		"solveall/paper/serial", "solveall/paper/parallel",
 		"session/splittable/cold", "session/splittable/warm",
 		"session/preemptive/cold", "session/preemptive/warm",
@@ -94,7 +100,8 @@ func TestValidateBenchReportRejects(t *testing.T) {
 		{"environment", func(r *BenchReport) { r.Runs[0].GoMaxProcs = 0 }},
 		{"no results", func(r *BenchReport) { r.Runs[0].Results = nil }},
 		{"bad mode", func(r *BenchReport) { r.Runs[0].Results[0].Mode = "warp" }},
-		{"unpaired", func(r *BenchReport) { r.Runs[0].Results = r.Runs[0].Results[:1] }},
+		{"unpaired parallel", func(r *BenchReport) { r.Runs[0].Results = onlyMode(r.Runs[0].Results, "parallel") }},
+		{"unpaired warm", func(r *BenchReport) { r.Runs[0].Results = onlyMode(r.Runs[0].Results, "warm") }},
 		{"duplicate env", func(r *BenchReport) { r.Runs = append(r.Runs, r.Runs[0]) }},
 	}
 	for _, tc := range cases {
@@ -108,5 +115,34 @@ func TestValidateBenchReportRejects(t *testing.T) {
 		if err := ValidateBenchReport(rep); err == nil {
 			t.Errorf("%s: validator accepted a broken report", tc.name)
 		}
+	}
+}
+
+// onlyMode keeps the results of one mode.
+func onlyMode(rs []BenchResult, mode string) []BenchResult {
+	var out []BenchResult
+	for _, r := range rs {
+		if r.Mode == mode {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// TestValidateBenchReportSerialAlone: a serial row needs no parallel
+// peer, so a report of serial rows only is valid.
+func TestValidateBenchReportSerialAlone(t *testing.T) {
+	good, err := BenchCore([]int{200}, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := &BenchReport{}
+	MergeRun(rep, *good)
+	rep.Runs[0].Results = onlyMode(good.Results, "serial")
+	if len(rep.Runs[0].Results) == 0 {
+		t.Fatal("no serial rows measured")
+	}
+	if err := ValidateBenchReport(rep); err != nil {
+		t.Fatalf("serial-only report rejected: %v", err)
 	}
 }

@@ -311,6 +311,19 @@ func CheckInstanceBudget(ctx context.Context, in *sched.Instance, eps float64, p
 // checkRun asserts the per-algorithm invariants for one result.
 func checkRun(rep *Report, in *sched.Instance, run AlgoRun, res *setupsched.Result) {
 	spec := run.Spec
+	// The trace records every probe, and a dual search never probes one
+	// guess twice.
+	if len(res.Trace) != res.Probes {
+		rep.violate("%s: trace has %d entries for %d probes", spec.Name, len(res.Trace), res.Probes)
+	}
+	probed := make(map[[2]int64]bool, len(res.Trace)) // keyed by normalized (Num, Den)
+	for _, p := range res.Trace {
+		key := [2]int64{p.T.Num(), p.T.Den()}
+		if probed[key] {
+			rep.violate("%s: guess %s probed twice", spec.Name, p.T)
+		}
+		probed[key] = true
+	}
 	if err := setupsched.Verify(in, spec.Variant, res); err != nil {
 		rep.violate("%s: Verify rejected the solver's own result: %v", spec.Name, err)
 		return
@@ -532,9 +545,9 @@ type Config struct {
 	// Workers * Parallelism.
 	Parallelism int
 	// CrossCheckParallel > 1 additionally verifies, per instance, that the
-	// parallel engine (SolveAll fan-out and speculative probing at this
-	// width) returns bit-identical makespans, bounds and guesses to the
-	// serial path; mismatches become Violations.
+	// SolveAll fan-out at this width returns bit-identical makespans,
+	// bounds, guesses and probe counts to the serial path; mismatches
+	// become Violations.
 	CrossCheckParallel int
 	// MaxViolations stops early once this many violations are collected
 	// (0 = unlimited).

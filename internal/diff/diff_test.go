@@ -199,6 +199,27 @@ func TestHarnessDetectsCorruptResult(t *testing.T) {
 	if !found {
 		t.Fatalf("unsound certificate not flagged: %v", rep.Violations)
 	}
+
+	// A trace that misses a probe, and a search that probes one guess
+	// twice, are both flagged.
+	if len(res.Trace) < 2 {
+		t.Fatalf("calibration solve recorded %d probes, need >= 2", len(res.Trace))
+	}
+	short := *res
+	short.Trace = res.Trace[1:]
+	rep = &Report{OptNonp: -1}
+	checkRun(rep, in, run, &short)
+	if len(rep.Violations) != 1 || !strings.Contains(rep.Violations[0], "trace has") {
+		t.Fatalf("short trace not flagged: %v", rep.Violations)
+	}
+	dup := *res
+	dup.Trace = append(append([]setupsched.Probe(nil), res.Trace...), res.Trace[0])
+	dup.Probes++
+	rep = &Report{OptNonp: -1}
+	checkRun(rep, in, run, &dup)
+	if len(rep.Violations) != 1 || !strings.Contains(rep.Violations[0], "probed twice") {
+		t.Fatalf("repeated probe not flagged: %v", rep.Violations)
+	}
 }
 
 // TestRelaxationChainDetection plants a preemptive makespan below a

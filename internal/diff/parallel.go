@@ -8,19 +8,13 @@ import (
 	"setupsched/sched"
 )
 
-// CheckEngineParallel cross-checks the parallel solve engine against the
-// serial path on one instance.  Every paper spec is solved three ways off
-// one shared preparation:
-//
-//   - serially (Solver.Solve, the reference);
-//   - through Solver.SolveAll with the given fan-out width;
-//   - with speculative probing (Solver.Solve + WithParallelism).
-//
-// All three must return bit-identical makespans, certified lower bounds
-// and accepted guesses — the engine's core contract.  The probe count may
-// legitimately differ (speculation evaluates guesses a serial search
-// skips), so it is not compared.  Mismatches come back as human-readable
-// violations; the error return is reserved for infrastructure failures.
+// CheckEngineParallel cross-checks the SolveAll fan-out against the
+// serial path on one instance.  Every paper spec is solved twice off one
+// shared preparation: serially (Solver.Solve, the reference) and through
+// Solver.SolveAll with the given fan-out width.  Both must return
+// bit-identical makespans, certified lower bounds, accepted guesses and
+// probe counts.  Mismatches come back as human-readable violations; the
+// error return is reserved for infrastructure failures.
 func CheckEngineParallel(ctx context.Context, in *sched.Instance, eps float64, parallelism int) ([]string, error) {
 	if parallelism < 2 {
 		parallelism = 2
@@ -49,37 +43,29 @@ func CheckEngineParallel(ctx context.Context, in *sched.Instance, eps float64, p
 		if err != nil {
 			return violations, err
 		}
-		spec32 := append(append([]setupsched.Option(nil), opts...), setupsched.WithParallelism(parallelism))
-		speculative, err := solver.Solve(ctx, spec.Variant, spec32...)
-		if err != nil {
-			return violations, err
-		}
 		if fanned[i].Err != nil {
 			return violations, fanned[i].Err
 		}
-		for _, cmp := range []struct {
-			engine string
-			res    *setupsched.Result
-		}{
-			{"SolveAll fan-out", fanned[i].Result},
-			{"speculative search", speculative},
-		} {
-			if !cmp.res.Makespan.Equal(serial.Makespan) {
-				violations = append(violations, fmt.Sprintf(
-					"%s: %s makespan %s != serial %s", spec.Name, cmp.engine, cmp.res.Makespan, serial.Makespan))
-			}
-			if !cmp.res.LowerBound.Equal(serial.LowerBound) {
-				violations = append(violations, fmt.Sprintf(
-					"%s: %s lower bound %s != serial %s", spec.Name, cmp.engine, cmp.res.LowerBound, serial.LowerBound))
-			}
-			if !cmp.res.Guess.Equal(serial.Guess) {
-				violations = append(violations, fmt.Sprintf(
-					"%s: %s accepted guess %s != serial %s", spec.Name, cmp.engine, cmp.res.Guess, serial.Guess))
-			}
-			if cmp.res.Algorithm != serial.Algorithm {
-				violations = append(violations, fmt.Sprintf(
-					"%s: %s algorithm %q != serial %q", spec.Name, cmp.engine, cmp.res.Algorithm, serial.Algorithm))
-			}
+		fan := fanned[i].Result
+		if !fan.Makespan.Equal(serial.Makespan) {
+			violations = append(violations, fmt.Sprintf(
+				"%s: SolveAll fan-out makespan %s != serial %s", spec.Name, fan.Makespan, serial.Makespan))
+		}
+		if !fan.LowerBound.Equal(serial.LowerBound) {
+			violations = append(violations, fmt.Sprintf(
+				"%s: SolveAll fan-out lower bound %s != serial %s", spec.Name, fan.LowerBound, serial.LowerBound))
+		}
+		if !fan.Guess.Equal(serial.Guess) {
+			violations = append(violations, fmt.Sprintf(
+				"%s: SolveAll fan-out accepted guess %s != serial %s", spec.Name, fan.Guess, serial.Guess))
+		}
+		if fan.Algorithm != serial.Algorithm {
+			violations = append(violations, fmt.Sprintf(
+				"%s: SolveAll fan-out algorithm %q != serial %q", spec.Name, fan.Algorithm, serial.Algorithm))
+		}
+		if fan.Probes != serial.Probes {
+			violations = append(violations, fmt.Sprintf(
+				"%s: SolveAll fan-out probes %d != serial %d", spec.Name, fan.Probes, serial.Probes))
 		}
 	}
 	return violations, nil

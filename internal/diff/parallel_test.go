@@ -8,9 +8,9 @@ import (
 )
 
 // TestEngineParallelBitIdentical is the acceptance cross-check of the
-// parallel solve engine: over the full schedgen catalog, SolveAll fan-out
-// and speculative probing must return bit-identical makespans, certified
-// bounds and accepted guesses to the serial path, for every spec.
+// SolveAll fan-out: over the full schedgen catalog it must return
+// bit-identical makespans, certified bounds, accepted guesses and probe
+// counts to the serial path, for every spec.
 func TestEngineParallelBitIdentical(t *testing.T) {
 	profiles := []Profile{
 		{"tiny", schedgen.Params{M: 3, Classes: 3, JobsPer: 2, MaxSetup: 12, MaxJob: 16}},

@@ -1,6 +1,7 @@
 package setupsched
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -19,11 +20,20 @@ func exampleInstance() *Instance {
 	}
 }
 
+// solveFresh runs one Solve on a Solver built for this call alone.
+func solveFresh(in *Instance, v Variant, opts ...Option) (*Result, error) {
+	s, err := NewSolver(in)
+	if err != nil {
+		return nil, err
+	}
+	return s.Solve(context.Background(), v, opts...)
+}
+
 func TestSolveAllVariantsAndAlgorithms(t *testing.T) {
 	in := exampleInstance()
 	for _, v := range []Variant{Splittable, Preemptive, NonPreemptive} {
 		for _, algo := range []Algorithm{Auto, TwoApprox, EpsilonSearch, Exact32} {
-			res, err := Solve(in, v, &Options{Algorithm: algo})
+			res, err := solveFresh(in, v, WithAlgorithm(algo))
 			if err != nil {
 				t.Fatalf("%v/%v: %v", v, algo, err)
 			}
@@ -50,7 +60,7 @@ func TestSolveAllVariantsAndAlgorithms(t *testing.T) {
 
 func TestSolveDefaultsToExact32(t *testing.T) {
 	in := exampleInstance()
-	res, err := Solve(in, NonPreemptive, nil)
+	res, err := solveFresh(in, NonPreemptive)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,37 +73,39 @@ func TestSolveDefaultsToExact32(t *testing.T) {
 }
 
 func TestSolveRejectsBadInput(t *testing.T) {
-	if _, err := Solve(nil, Splittable, nil); err == nil {
+	if _, err := solveFresh(nil, Splittable); err == nil {
 		t.Error("nil instance accepted")
 	}
-	if _, err := Solve(&Instance{M: 0}, Splittable, nil); err == nil {
+	if _, err := solveFresh(&Instance{M: 0}, Splittable); err == nil {
 		t.Error("invalid instance accepted")
-	}
-	if _, err := LowerBound(nil, Splittable); err == nil {
-		t.Error("nil instance accepted by LowerBound")
 	}
 }
 
+// TestLowerBoundMatchesVariant pins Solver.LowerBound on a hand example.
 func TestLowerBoundMatchesVariant(t *testing.T) {
 	in := exampleInstance() // N = 4+14+1+6+9+6 = 40, m=3; s_max = 9; max s+t = 15
-	lb, err := LowerBound(in, Splittable)
+	s, err := NewSolver(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !lb.Equal(Rat{}.AddInt(40).DivInt(3)) {
+	if lb := s.LowerBound(Splittable); !lb.Equal(Rat{}.AddInt(40).DivInt(3)) {
 		t.Errorf("splittable LB = %s", lb)
 	}
-	lbN, _ := LowerBound(in, NonPreemptive)
-	if !lbN.Equal(Rat{}.AddInt(15)) {
+	if lbN := s.LowerBound(NonPreemptive); !lbN.Equal(Rat{}.AddInt(15)) {
 		t.Errorf("nonpreemptive LB = %s", lbN)
 	}
 }
 
 func TestDualTestAcceptAndReject(t *testing.T) {
 	in := exampleInstance()
+	solver, err := NewSolver(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
 	for _, v := range []Variant{Splittable, Preemptive, NonPreemptive} {
 		// N is always accepted.
-		acc, s, err := DualTest(in, v, Rat{}.AddInt(in.N()))
+		acc, s, err := solver.DualTest(ctx, v, Rat{}.AddInt(in.N()))
 		if err != nil || !acc || s == nil {
 			t.Fatalf("%v: DualTest(N) = (%v, %v, %v)", v, acc, s, err)
 		}
@@ -101,23 +113,23 @@ func TestDualTestAcceptAndReject(t *testing.T) {
 			t.Fatalf("%v: %v", v, err)
 		}
 		// A tiny guess is always rejected.
-		acc, s, err = DualTest(in, v, Rat{}.AddInt(1))
+		acc, s, err = solver.DualTest(ctx, v, Rat{}.AddInt(1))
 		if err != nil || acc || s != nil {
 			t.Fatalf("%v: DualTest(1) = (%v, %v, %v)", v, acc, s, err)
 		}
 	}
 	// Guard rails.
-	if _, _, err := DualTest(in, Splittable, Rat{}); err == nil {
+	if _, _, err := solver.DualTest(ctx, Splittable, Rat{}); err == nil {
 		t.Error("zero guess accepted")
 	}
 	bad := Rat{}.AddInt(1).DivInt(maxDualDen * 2)
-	if _, _, err := DualTest(in, Splittable, bad.AddInt(10)); err == nil {
+	if _, _, err := solver.DualTest(ctx, Splittable, bad.AddInt(10)); err == nil {
 		t.Error("huge denominator accepted")
 	}
 }
 
-// TestPublicAPIRandomized drives the facade over every generator family
-// and checks the documented guarantees end to end.
+// TestPublicAPIRandomized drives the public API over every generator
+// family and checks the documented guarantees end to end.
 func TestPublicAPIRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for iter := 0; iter < 40; iter++ {
@@ -131,7 +143,7 @@ func TestPublicAPIRandomized(t *testing.T) {
 			Seed:     rng.Int63(),
 		})
 		for _, v := range []Variant{Splittable, Preemptive, NonPreemptive} {
-			res, err := Solve(in, v, nil)
+			res, err := solveFresh(in, v)
 			if err != nil {
 				t.Fatalf("iter %d %s/%v: %v\n%+v", iter, fam.Name, v, err, in)
 			}
@@ -159,7 +171,7 @@ func TestAlgorithmString(t *testing.T) {
 
 func TestVerify(t *testing.T) {
 	in := exampleInstance()
-	res, err := Solve(in, Preemptive, nil)
+	res, err := solveFresh(in, Preemptive)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,40 +119,15 @@ func TestSolveAllOptionValidation(t *testing.T) {
 	if _, err := s.Solve(ctx, NonPreemptive, WithRuns(Run{Variant: NonPreemptive})); err == nil {
 		t.Fatal("Solve accepted WithRuns")
 	}
+	if _, err := s.Solve(ctx, NonPreemptive, WithParallelism(2)); err == nil ||
+		!strings.Contains(err.Error(), "WithParallelism") {
+		t.Fatalf("Solve accepted WithParallelism: %v", err)
+	}
+	if _, err := s.Solve(ctx, NonPreemptive, WithAlgorithm(Algorithm(7))); err == nil {
+		t.Fatal("Solve accepted an unknown algorithm")
+	}
 	if _, _, err := s.DualTest(ctx, NonPreemptive, Rat{}.AddInt(1000), WithParallelism(2)); err == nil {
 		t.Fatal("DualTest accepted WithParallelism")
-	}
-}
-
-// TestSolveSpeculativeMatchesSerial asserts the public Solve path with
-// WithParallelism returns bit-identical results to the serial path.
-func TestSolveSpeculativeMatchesSerial(t *testing.T) {
-	s := solveAllInstance(t)
-	ctx := context.Background()
-	for _, r := range PaperRuns() {
-		serial, err := s.Solve(ctx, r.Variant, WithAlgorithm(r.Algorithm))
-		if err != nil {
-			t.Fatalf("%s: %v", r, err)
-		}
-		spec, err := s.Solve(ctx, r.Variant, WithAlgorithm(r.Algorithm), WithParallelism(4))
-		if err != nil {
-			t.Fatalf("%s speculative: %v", r, err)
-		}
-		if !spec.Makespan.Equal(serial.Makespan) || !spec.LowerBound.Equal(serial.LowerBound) {
-			t.Errorf("%s: speculative (%s, %s) != serial (%s, %s)",
-				r, spec.Makespan, spec.LowerBound, serial.Makespan, serial.LowerBound)
-		}
-		// Trace must stay deduplicated and consistent under speculation.
-		seen := map[string]bool{}
-		for _, p := range spec.Trace {
-			if seen[p.T.String()] {
-				t.Errorf("%s: duplicate trace entry for guess %s", r, p.T)
-			}
-			seen[p.T.String()] = true
-		}
-		if len(spec.Trace) > spec.Probes {
-			t.Errorf("%s: %d trace entries > %d probes", r, len(spec.Trace), spec.Probes)
-		}
 	}
 }
 

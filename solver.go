@@ -88,7 +88,7 @@ type solveConfig struct {
 	epsilon     float64
 	observers   []Observer
 	probeLimit  int
-	parallelism int
+	parallelism int // 0 unless WithParallelism was given; only SolveAll accepts it
 	nodeBudget  int64
 	runs        []Run
 
@@ -124,18 +124,11 @@ func WithNodeBudget(n int64) Option {
 	}
 }
 
-// WithParallelism sets the number of goroutines a call may use.  n must
-// be at least 1 (the default: fully serial).
-//
-// For Solver.Solve, n is the speculative probing width: the dual search
-// evaluates up to n candidate makespan guesses concurrently per round and
-// keeps the tightest accept/reject bracket.  The accepted guess, the
-// certified lower bound and the schedule are bit-identical to the serial
-// search; only wall-clock time, Probes and the Trace length change
-// (speculation evaluates guesses a serial search can skip).
-//
-// For Solver.SolveAll, n bounds how many (variant, algorithm) runs solve
-// concurrently; each individual run probes serially.
+// WithParallelism bounds how many (variant, algorithm) runs of a
+// Solver.SolveAll call solve concurrently.  n must be at least 1 (the
+// default: fully serial).  Each run probes serially, so results are
+// bit-identical for every n.  Only applies to SolveAll; Solve and
+// DualTest reject it.
 func WithParallelism(n int) Option {
 	return func(c *solveConfig) error {
 		if n < 1 {
@@ -179,7 +172,7 @@ func WithRuns(runs ...Run) Option {
 // epsilons.
 func WithEpsilon(eps float64) Option {
 	return func(c *solveConfig) error {
-		if eps <= 0 || eps >= 1 {
+		if !(eps > 0 && eps < 1) { // also rejects NaN
 			return &EpsilonRangeError{Epsilon: eps}
 		}
 		c.epsilon = eps
@@ -215,7 +208,7 @@ func WithProbeLimit(n int) Option {
 }
 
 func resolveOptions(opts []Option) (*solveConfig, error) {
-	cfg := &solveConfig{algorithm: Auto, epsilon: DefaultEpsilon, parallelism: 1}
+	cfg := &solveConfig{algorithm: Auto, epsilon: DefaultEpsilon}
 	cfg.observers = cfg.obsBuf[:0]
 	for _, o := range opts {
 		if o == nil {
@@ -228,25 +221,15 @@ func resolveOptions(opts []Option) (*solveConfig, error) {
 	return cfg, nil
 }
 
-// traceObserver collects the probe sequence for Result.Trace, in the
-// order the search admitted the probes and deduplicated by guess: a
-// makespan guess evaluated more than once (possible only under
-// speculative probing) is recorded at its first evaluation.
+// traceObserver collects the probe sequence for Result.Trace in
+// execution order.  A search never probes one guess twice, so the trace
+// holds exactly Probes entries.
 type traceObserver struct {
 	trace []Probe
-	seen  map[[2]int64]bool // keyed by the guess's normalized (Num, Den)
 }
 
 func (t *traceObserver) ProbeStarted(Rat) {}
 func (t *traceObserver) ProbeFinished(T Rat, accepted bool) {
-	key := [2]int64{T.Num(), T.Den()}
-	if t.seen == nil {
-		t.seen = make(map[[2]int64]bool)
-	}
-	if t.seen[key] {
-		return
-	}
-	t.seen[key] = true
 	t.trace = append(t.trace, Probe{T: T, Accepted: accepted})
 }
 func (t *traceObserver) SearchFinished(string, int) {}
@@ -276,10 +259,7 @@ func (m multiObserver) SearchFinished(algorithm string, probes int) {
 // the given variant.  The context cancels the search between probes: a
 // canceled or expired ctx aborts promptly with an error matching both
 // ErrCanceled and the context's own error, and no partial schedule is
-// returned.  With no options it runs the exact 3/2-approximation
-// serially; WithParallelism(n) turns on speculative probing (see the
-// option's documentation — results stay bit-identical to the serial
-// search).
+// returned.  With no options it runs the exact 3/2-approximation.
 func (s *Solver) Solve(ctx context.Context, v Variant, opts ...Option) (*Result, error) {
 	cfg, err := resolveOptions(opts)
 	if err != nil {
@@ -288,15 +268,18 @@ func (s *Solver) Solve(ctx context.Context, v Variant, opts ...Option) (*Result,
 	if cfg.runs != nil {
 		return nil, errors.New("setupsched: WithRuns only applies to SolveAll")
 	}
-	return s.solveRun(ctx, v, cfg.algorithm, cfg, cfg.parallelism, cfg.fanBuf[:0])
+	if cfg.parallelism != 0 {
+		return nil, errors.New("setupsched: WithParallelism only applies to SolveAll")
+	}
+	return s.solveRun(ctx, v, cfg.algorithm, cfg, cfg.fanBuf[:0])
 }
 
 // solveRun executes one (variant, algorithm) solve under the resolved
-// configuration; parallelism is the speculative probing width.  fan is
-// the backing storage for the observer fan-out: Solve passes the
-// config's inline buffer (zero extra allocations); SolveAll passes nil
-// because its concurrent runs must not share one buffer.
-func (s *Solver) solveRun(ctx context.Context, v Variant, algorithm Algorithm, cfg *solveConfig, parallelism int, fan []Observer) (*Result, error) {
+// configuration.  fan is the backing storage for the observer fan-out:
+// Solve passes the config's inline buffer (zero extra allocations);
+// SolveAll passes nil because its concurrent runs must not share one
+// buffer.
+func (s *Solver) solveRun(ctx context.Context, v Variant, algorithm Algorithm, cfg *solveConfig, fan []Observer) (*Result, error) {
 	tr := &traceObserver{}
 	fan = append(fan, tr)
 	fan = append(fan, cfg.observers...)
@@ -309,7 +292,7 @@ func (s *Solver) solveRun(ctx context.Context, v Variant, algorithm Algorithm, c
 		obs.SearchFinished(res.Algorithm, res.Probes)
 		return res, nil
 	}
-	ctl := core.Ctl{Ctx: ctx, Obs: obs, ProbeLimit: cfg.probeLimit, Parallelism: parallelism}
+	ctl := core.Ctl{Ctx: ctx, Obs: obs, ProbeLimit: cfg.probeLimit}
 
 	var r *core.Result
 	var err error
@@ -433,7 +416,7 @@ func (s *Solver) SolveAll(ctx context.Context, opts ...Option) ([]RunResult, err
 		runs = PaperRuns()
 	}
 	out := make([]RunResult, len(runs))
-	workers := cfg.parallelism
+	workers := max(cfg.parallelism, 1)
 	if workers > len(runs) {
 		workers = len(runs)
 	}
@@ -445,7 +428,7 @@ func (s *Solver) SolveAll(ctx context.Context, opts ...Option) ([]RunResult, err
 			defer wg.Done()
 			for i := range next {
 				r := runs[i]
-				res, err := s.solveRun(ctx, r.Variant, r.Algorithm, cfg, 1, nil)
+				res, err := s.solveRun(ctx, r.Variant, r.Algorithm, cfg, nil)
 				out[i] = RunResult{Run: r, Result: res, Err: err}
 			}
 		}()
@@ -471,7 +454,7 @@ func (s *Solver) DualTest(ctx context.Context, v Variant, T Rat, opts ...Option)
 	if err != nil {
 		return false, nil, err
 	}
-	if cfg.algorithm != Auto || cfg.probeLimit != 0 || cfg.parallelism != 1 || cfg.runs != nil {
+	if cfg.algorithm != Auto || cfg.probeLimit != 0 || cfg.parallelism != 0 || cfg.runs != nil {
 		return false, nil, errors.New("setupsched: WithAlgorithm, WithProbeLimit, WithParallelism and WithRuns do not apply to DualTest")
 	}
 	if T.Sign() <= 0 {

@@ -38,22 +38,22 @@ func TestProbeLimitZeroIsUnlimited(t *testing.T) {
 }
 
 // TestEpsilonRangeBoundaries checks both open-interval boundaries exactly:
-// 0 and 1 are rejected with a typed error carrying the value, while the
-// closest representable values inside (0, 1) are accepted and still honor
-// the certified-gap contract.
+// 0, 1 and NaN are rejected with a typed error carrying the value, while
+// the closest representable values inside (0, 1) are accepted and still
+// honor the certified-gap contract.
 func TestEpsilonRangeBoundaries(t *testing.T) {
 	solver, err := NewSolver(multiProbeInstance())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for _, eps := range []float64{0, 1, math.Nextafter(0, -1), math.Nextafter(1, 2)} {
+	for _, eps := range []float64{0, 1, math.Nextafter(0, -1), math.Nextafter(1, 2), math.NaN()} {
 		_, err := solver.Solve(ctx, NonPreemptive, WithAlgorithm(EpsilonSearch), WithEpsilon(eps))
 		var eErr *EpsilonRangeError
 		if !errors.As(err, &eErr) {
 			t.Fatalf("eps=%v: got %v, want *EpsilonRangeError", eps, err)
 		}
-		if eErr.Epsilon != eps {
+		if eErr.Epsilon != eps && !(math.IsNaN(eps) && math.IsNaN(eErr.Epsilon)) {
 			t.Fatalf("eps=%v: error reports %v", eps, eErr.Epsilon)
 		}
 	}

@@ -36,8 +36,8 @@ func TestNewSolverValidation(t *testing.T) {
 }
 
 // TestSolverReuseMatchesOneShot solves every variant under every
-// algorithm twice on one shared Solver and compares against fresh
-// one-shot Solve calls: preparation reuse must not change any result or
+// algorithm twice on one shared Solver and compares against solves on a
+// fresh Solver each: preparation reuse must not change any result or
 // leak state between solves.
 func TestSolverReuseMatchesOneShot(t *testing.T) {
 	rng := []int64{3, 17}
@@ -52,7 +52,7 @@ func TestSolverReuseMatchesOneShot(t *testing.T) {
 		ctx := context.Background()
 		for _, v := range []Variant{Splittable, Preemptive, NonPreemptive} {
 			for _, algo := range []Algorithm{Auto, TwoApprox, EpsilonSearch, Exact32} {
-				want, err := Solve(in, v, &Options{Algorithm: algo})
+				want, err := solveFresh(in, v, WithAlgorithm(algo))
 				if err != nil {
 					t.Fatalf("%v/%v one-shot: %v", v, algo, err)
 				}
@@ -152,7 +152,7 @@ func TestEpsilonValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, eps := range []float64{0, -1, 1, 2.5} {
+	for _, eps := range []float64{0, -1, -3, 1, 2.5} {
 		_, err := solver.Solve(context.Background(), NonPreemptive,
 			WithAlgorithm(EpsilonSearch), WithEpsilon(eps))
 		var eErr *EpsilonRangeError
@@ -160,23 +160,14 @@ func TestEpsilonValidation(t *testing.T) {
 			t.Errorf("eps=%v: got %v, want *EpsilonRangeError", eps, err)
 		}
 	}
-	// The legacy shim treats a zero epsilon as "use the default" but
-	// rejects explicit garbage.
-	if _, err := Solve(in, NonPreemptive, &Options{Algorithm: EpsilonSearch}); err != nil {
-		t.Errorf("legacy zero epsilon: %v", err)
-	}
-	if _, err := Solve(in, NonPreemptive, &Options{Algorithm: EpsilonSearch, Epsilon: -3}); err == nil {
-		t.Error("legacy negative epsilon accepted")
+	// Without WithEpsilon the eps-search runs at DefaultEpsilon.
+	if _, err := solver.Solve(context.Background(), NonPreemptive, WithAlgorithm(EpsilonSearch)); err != nil {
+		t.Errorf("default epsilon: %v", err)
 	}
 	// In-range epsilon still works.
 	if _, err := solver.Solve(context.Background(), NonPreemptive,
 		WithAlgorithm(EpsilonSearch), WithEpsilon(0.25)); err != nil {
 		t.Errorf("eps=0.25: %v", err)
-	}
-	// The legacy shim always ignored Epsilon for other algorithms; a
-	// garbage value there must not start failing.
-	if _, err := Solve(in, NonPreemptive, &Options{Algorithm: TwoApprox, Epsilon: 5}); err != nil {
-		t.Errorf("legacy non-eps algorithm with garbage epsilon: %v", err)
 	}
 }
 
@@ -269,10 +260,47 @@ func TestTraceAndObserver(t *testing.T) {
 	if len(obs2.probes) != 1 || obs2.probes[0].Accepted {
 		t.Fatalf("DualTest observer events: %+v", obs2.probes)
 	}
+	// Every paper run's trace holds exactly one entry per probe and never
+	// records a guess twice.
+	s := solveAllInstance(t)
+	for _, r := range PaperRuns() {
+		res, err := s.Solve(context.Background(), r.Variant, WithAlgorithm(r.Algorithm))
+		if err != nil {
+			t.Fatalf("%s: %v", r, err)
+		}
+		if len(res.Trace) != res.Probes {
+			t.Errorf("%s: %d trace entries for %d probes", r, len(res.Trace), res.Probes)
+		}
+		seen := map[string]bool{}
+		for _, p := range res.Trace {
+			if seen[p.T.String()] {
+				t.Errorf("%s: duplicate trace entry for guess %s", r, p.T)
+			}
+			seen[p.T.String()] = true
+		}
+	}
 }
 
-// TestSolverDualTestMatchesLegacy pins the shim equivalence.
-func TestSolverDualTestMatchesLegacy(t *testing.T) {
+// TestLowerBoundMethodMatchesLegacy: Solver.LowerBound, taken from the
+// prepared state, equals the instance's own trivial bound (the one
+// Verify checks) for every variant.
+func TestLowerBoundMethodMatchesLegacy(t *testing.T) {
+	for _, in := range []*Instance{exampleInstance(), multiProbeInstance()} {
+		solver, err := NewSolver(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range []Variant{Splittable, Preemptive, NonPreemptive} {
+			if got, want := solver.LowerBound(v), in.LowerBound(v); !got.Equal(want) {
+				t.Errorf("%v: Solver.LowerBound %s != Instance.LowerBound %s", v, got, want)
+			}
+		}
+	}
+}
+
+// TestSolverDualTestMatchesOneShot: probes on one shared Solver match
+// probes on a fresh Solver each, so preparation reuse leaks no state.
+func TestSolverDualTestMatchesOneShot(t *testing.T) {
 	in := multiProbeInstance()
 	solver, err := NewSolver(in)
 	if err != nil {
@@ -282,44 +310,17 @@ func TestSolverDualTestMatchesLegacy(t *testing.T) {
 		for _, T := range []int64{1, 10, 20, 40} {
 			guess := Rat{}.AddInt(T)
 			accNew, sNew, errNew := solver.DualTest(context.Background(), v, guess)
-			accOld, sOld, errOld := DualTest(in, v, guess)
+			fresh, err := NewSolver(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			accOld, sOld, errOld := fresh.DualTest(context.Background(), v, guess)
 			if accNew != accOld || (errNew == nil) != (errOld == nil) {
-				t.Fatalf("%v T=%d: solver (%v,%v) != legacy (%v,%v)", v, T, accNew, errNew, accOld, errOld)
+				t.Fatalf("%v T=%d: shared solver (%v,%v) != fresh solver (%v,%v)", v, T, accNew, errNew, accOld, errOld)
 			}
 			if accNew && !sNew.Makespan().Equal(sOld.Makespan()) {
 				t.Fatalf("%v T=%d: schedule makespans differ: %s vs %s", v, T, sNew.Makespan(), sOld.Makespan())
 			}
 		}
-	}
-}
-
-func TestLowerBoundMethodMatchesLegacy(t *testing.T) {
-	in := multiProbeInstance()
-	solver, err := NewSolver(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []Variant{Splittable, Preemptive, NonPreemptive} {
-		want, err := LowerBound(in, v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := solver.LowerBound(v); !got.Equal(want) {
-			t.Errorf("%v: Solver.LowerBound %s != LowerBound %s", v, got, want)
-		}
-	}
-}
-
-// TestLegacyShimCompat pins behaviors the deprecated shims must keep
-// from the pre-Solver implementation.
-func TestLegacyShimCompat(t *testing.T) {
-	in := multiProbeInstance()
-	// Out-of-enum Algorithm values ran the default exact-3/2 path.
-	res, err := Solve(in, NonPreemptive, &Options{Algorithm: Algorithm(7)})
-	if err != nil {
-		t.Fatalf("legacy out-of-enum algorithm: %v", err)
-	}
-	if res.Algorithm != "nonp/binsearch" {
-		t.Errorf("legacy out-of-enum algorithm ran %q, want the exact path", res.Algorithm)
 	}
 }

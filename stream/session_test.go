@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"setupsched"
@@ -236,8 +237,16 @@ func TestSessionRejectsInvalid(t *testing.T) {
 	if s.Rev() != rev {
 		t.Fatal("rejected delta bumped the revision")
 	}
-	if _, err := s.Solve(context.Background(), sched.NonPreemptive, WithEpsilon(2)); err == nil {
-		t.Fatal("epsilon 2 accepted")
+	for _, eps := range []float64{2, math.NaN()} {
+		_, err := s.Solve(context.Background(), sched.NonPreemptive,
+			WithAlgorithm(setupsched.EpsilonSearch), WithEpsilon(eps))
+		var eErr *setupsched.EpsilonRangeError
+		if !errors.As(err, &eErr) {
+			t.Fatalf("epsilon %v: got %v, want *EpsilonRangeError", eps, err)
+		}
+		if eErr.Epsilon != eps && !(math.IsNaN(eps) && math.IsNaN(eErr.Epsilon)) {
+			t.Fatalf("epsilon %v: error reports %v", eps, eErr.Epsilon)
+		}
 	}
 	if _, err := s.Solve(context.Background(), sched.NonPreemptive, WithAlgorithm(setupsched.Algorithm(99))); err == nil {
 		t.Fatal("unknown algorithm accepted")

@@ -406,7 +406,7 @@ func WithAlgorithm(a setupsched.Algorithm) SolveOption {
 // in (0, 1) (see setupsched.WithEpsilon).
 func WithEpsilon(eps float64) SolveOption {
 	return func(c *solveCfg) error {
-		if eps <= 0 || eps >= 1 {
+		if !(eps > 0 && eps < 1) { // also rejects NaN
 			return &setupsched.EpsilonRangeError{Epsilon: eps}
 		}
 		c.epsilon = eps
